@@ -29,11 +29,15 @@ race:
 
 # The fault-injection / resilience suite on its own, verbose: every
 # degradation edge (restore failure -> quarantine + rebuild; repeated
-# failure -> forkserver fallback; sentinel divergence; checkpoint resume).
+# failure -> forkserver fallback; sentinel divergence; checkpoint resume),
+# then a fixed-time run of the checkpoint fuzz target: hostile blobs must
+# be rejected with ErrBadCheckpoint, never panic (crashers are checked in
+# under internal/fuzz/testdata/fuzz and replay in the plain suite).
 faultcheck:
 	$(GO) test -v ./internal/faultinject/
 	$(GO) test -v -run 'Injected|Fault|Resilient|Restore|Watchdog|Sentinel|Checkpoint|Resume|Degrad|Hang|Stop' \
 		./internal/harness/ ./internal/execmgr/ ./internal/fuzz/ .
+	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/fuzz/
 
 # Static correctness gate: go vet, the restore-completeness lints over
 # every registered target, and the pipeline test suites with the deep
@@ -76,14 +80,14 @@ harness-audit:
 # the chaos suite (shard kill -> restart/quarantine, restore corruption ->
 # rebuild ladder, corpus delay/drop, hang escalation, torn checkpoint
 # writes, elastic resume) runs plain and under -race; end to end, the
-# closurex-bench matrix injects each fault class into a real compiled
-# target's parallel campaign and gates on completion + coverage superset +
-# no goroutine leak.
+# closurex-bench chaos sweep injects each fault class into a real compiled
+# target's parallel campaign and gates (all_pass) on completion + coverage
+# superset + no goroutine leak.
 chaos:
 	$(GO) test -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|ForShard|HealthLog' \
 		./internal/fuzz/ ./internal/faultinject/ ./internal/stats/
 	$(GO) test -race -timeout 15m -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError' ./internal/fuzz/
-	$(GO) run ./cmd/closurex-bench -chaos -chaos-execs 20000 -chaos-json BENCH_chaos.json
+	$(GO) run ./cmd/closurex-bench -sweep chaos -execs 20000 -trials 1 -json BENCH_chaos.json
 
 # Compiled-tier gate: the interp-vs-compiled differential suites — the
 # VM-level matrix in internal/vm/compile (per-seed observables, timeout
@@ -122,30 +126,20 @@ check: vet test race faultcheck lint sanitize interproc harness-audit chaos comp
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark artifacts: a short parallel-scaling sweep
-# (jobs = 1, 2, 4, GOMAXPROCS -> BENCH_parallel.json), the sanitizer
-# overhead sweep (modes off / on / on+elide -> BENCH_sanitizer.json), and
-# the restore-elision sweep (elision off vs on per target ->
-# BENCH_interproc.json), the harness-audit sweep (auto-dictionary off
-# vs on per target -> BENCH_harness.json), and the synthesized-harness
-# sweep (manual vs manual+synthesized coverage per target ->
-# BENCH_synth.json; any CLX130 fails the bench), so throughput,
-# shadow-check cost, restore scope and harness quality are tracked as
-# artifacts rather than eyeballed from logs.
-# Machine-readable benchmark artifacts (continued): the compiled-tier
-# speedup table (interp vs compiled across every registered target, with
-# the inline identity cross-check -> BENCH_compile.json), then the
-# translation-validation sweep merged into the same envelope (per-target
-# certification time + certified surface; uncertifiable target = hard
-# failure).
+# Machine-readable benchmark artifacts: the closurex-bench sweeps, one
+# BENCH_<artifact>.json each, all in the one row schema (target, mechanism,
+# backend, jobs, mode, best/median execs/s, edges, corpus, shard health).
+# Each entry is sweep:artifact; BENCH_chaos.json comes from `make chaos`.
+# A sweep whose gate fails (all_identical, edges_match, deterministic_off,
+# clx130, strict_superset) writes its artifact and then fails the target.
+BENCH_SWEEPS = parallel:parallel compile:compile sanitizer:sanitizer elision:interproc \
+	dict:harness synth:synth
+
 benchjson:
-	$(GO) run ./cmd/closurex-bench -parallel-scaling -parallel-execs 20000 -parallel-json BENCH_parallel.json
-	$(GO) run ./cmd/closurex-bench -sanitizer-overhead -sanitizer-execs 20000 -sanitizer-json BENCH_sanitizer.json
-	$(GO) run ./cmd/closurex-bench -restore-elision -interproc-execs 20000 -interproc-json BENCH_interproc.json
-	$(GO) run ./cmd/closurex-bench -dict-gain -dict-execs 20000 -dict-json BENCH_harness.json
-	$(GO) run ./cmd/closurex-bench -synth-gain -synth-execs 10000 -synth-json BENCH_synth.json
-	$(GO) run ./cmd/closurex-bench -compile-speedup -compile-execs 20000 -compile-json BENCH_compile.json
-	$(GO) run ./cmd/closurex-bench -transval -transval-json BENCH_compile.json
+	@for s in $(BENCH_SWEEPS); do \
+		echo "closurex-bench -sweep $${s%%:*} -> BENCH_$${s##*:}.json"; \
+		$(GO) run ./cmd/closurex-bench -sweep $${s%%:*} -trials 3 -json BENCH_$${s##*:}.json || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -1,7 +1,10 @@
 // Command closurex-bench regenerates the paper's evaluation artifacts at a
 // configurable (scaled) budget: Tables 3-7, the execution-mechanism
 // spectrum figure, the stale-state pathology demonstration, and the
-// restoration ablations.
+// restoration ablations; and it runs the table-driven campaign sweeps
+// (parallel scaling, compiled tier, sanitizer, restore elision,
+// auto-dictionary, synthesized harnesses, chaos), exiting nonzero after
+// writing the report when a sweep's gate fails.
 //
 // Usage:
 //
@@ -9,10 +12,8 @@
 //	closurex-bench -table all -targets gpmf-parser,libbpf
 //	closurex-bench -figure spectrum
 //	closurex-bench -ablation
-//	closurex-bench -sanitizer-overhead -sanitizer-json BENCH_sanitizer.json
-//	closurex-bench -restore-elision -interproc-json BENCH_interproc.json
-//	closurex-bench -dict-gain -dict-json BENCH_harness.json
-//	closurex-bench -synth-gain -synth-json BENCH_synth.json
+//	closurex-bench -sweep compile -trials 3 -json BENCH_compile.json
+//	closurex-bench -sweep sanitizer -targets sandefect -execs 2000
 package main
 
 import (
@@ -32,75 +33,17 @@ func main() {
 		ablation = flag.Bool("ablation", false, "run the restoration ablations")
 		duration = flag.Duration("duration", 2*time.Second, "per-trial fuzzing time (paper: 24h)")
 		trials   = flag.Int("trials", 5, "trials per configuration (paper: 5)")
-		tgts     = flag.String("targets", "", "comma-separated target subset (default: all ten)")
+		tgts     = flag.String("targets", "", "comma-separated target subset (default: all ten; a sweep: its own set)")
 		seed     = flag.Uint64("seed", 0x5eed, "base RNG seed")
 		pages    = flag.Int("image-pages", 512, "image size for the spectrum figure")
 	)
 	var (
-		scaling      = flag.Bool("parallel-scaling", false, "run the parallel-scaling sweep (jobs = 1, 2, 4, GOMAXPROCS)")
-		scalingTgt   = flag.String("parallel-target", "gpmf-parser", "target for the scaling sweep")
-		scalingExecs = flag.Int64("parallel-execs", 50000, "aggregate executions per scaling point")
-		parallelJSON = flag.String("parallel-json", "", "also write the scaling report to this JSON file (e.g. BENCH_parallel.json)")
-	)
-	var (
-		compSpeedup = flag.Bool("compile-speedup", false, "run the compiled-tier speedup sweep (interp vs compiled backend on every target, with inline identity checks)")
-		compExecs   = flag.Int64("compile-execs", 20000, "executions per backend per target")
-		compJSON    = flag.String("compile-json", "", "also write the compiled-tier report to this JSON file (e.g. BENCH_compile.json)")
-		tvRun       = flag.Bool("transval", false, "run the translation-validation sweep: certify every target's compiled program against the IR and report per-target certification time")
-		tvJSON      = flag.String("transval-json", "", "merge the certification report into this BENCH_compile.json (speedup rows preserved)")
-	)
-	var (
-		sanOverhead = flag.Bool("sanitizer-overhead", false, "run the sanitizer-overhead sweep (modes off, on, on+elide)")
-		sanTgt      = flag.String("sanitizer-target", "gpmf-parser", "target for the sanitizer sweep")
-		sanExecs    = flag.Int64("sanitizer-execs", 20000, "executions per sanitize mode")
-		sanJSON     = flag.String("sanitizer-json", "", "also write the sanitizer report to this JSON file (e.g. BENCH_sanitizer.json)")
-	)
-	var (
-		elision      = flag.Bool("restore-elision", false, "run the interprocedural restore-elision sweep over every target (elision off vs on)")
-		elisionExecs = flag.Int64("interproc-execs", 10000, "executions per elision point")
-		elisionJSON  = flag.String("interproc-json", "", "also write the elision report to this JSON file (e.g. BENCH_interproc.json)")
-	)
-	var (
-		dictGain   = flag.Bool("dict-gain", false, "run the harness-audit sweep over every target (auto-dictionary off vs on)")
-		dictExecs  = flag.Int64("dict-execs", 10000, "executions per auto-dictionary point")
-		dictJSON   = flag.String("dict-json", "", "also write the harness report to this JSON file (e.g. BENCH_harness.json)")
-		synthGain  = flag.Bool("synth-gain", false, "run the synthesized-harness sweep: manual vs manual+synthesized coverage per target")
-		synthExecs = flag.Int64("synth-execs", 10000, "executions per campaign in the synthesized-harness sweep")
-		synthJSON  = flag.String("synth-json", "", "also write the synthesis report to this JSON file (e.g. BENCH_synth.json)")
-	)
-	var (
-		chaos      = flag.Bool("chaos", false, "run the fault-injection matrix over the parallel campaign (shard kill, restore corruption, corpus delay/drop)")
-		chaosTgt   = flag.String("chaos-target", "gpmf-parser", "target for the chaos matrix")
-		chaosJobs  = flag.Int("chaos-jobs", 4, "shard count for the chaos matrix (min 3)")
-		chaosExecs = flag.Int64("chaos-execs", 30000, "aggregate executions per chaos scenario")
-		chaosJSON  = flag.String("chaos-json", "", "also write the chaos report to this JSON file (e.g. BENCH_chaos.json)")
+		sweep    = flag.String("sweep", "", "run one sweep: "+strings.Join(sweepNames(), " | "))
+		execs    = flag.Int64("execs", 0, "timed executions per sweep point (default: the sweep's own)")
+		jsonPath = flag.String("json", "", "also write the sweep report to this JSON file (e.g. BENCH_compile.json)")
 	)
 	flag.Parse()
-	if *parallelJSON != "" {
-		*scaling = true
-	}
-	if *compJSON != "" {
-		*compSpeedup = true
-	}
-	if *tvJSON != "" {
-		*tvRun = true
-	}
-	if *sanJSON != "" {
-		*sanOverhead = true
-	}
-	if *elisionJSON != "" {
-		*elision = true
-	}
-	if *dictJSON != "" {
-		*dictGain = true
-	}
-	if *synthJSON != "" {
-		*synthGain = true
-	}
-	if *chaosJSON != "" {
-		*chaos = true
-	}
-	if *table == "" && *figure == "" && !*ablation && !*scaling && !*compSpeedup && !*tvRun && !*sanOverhead && !*elision && !*dictGain && !*synthGain && !*chaos {
+	if *table == "" && *figure == "" && !*ablation && *sweep == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -187,131 +130,27 @@ func main() {
 		fatalf("unknown figure %q", *figure)
 	}
 
-	if *scaling {
-		rep, err := experiments.RunParallelScaling(*scalingTgt, nil, *scalingExecs, *seed)
+	if *sweep != "" {
+		sw, err := experiments.FindSweep(sweeps, *sweep)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Print(experiments.FormatScaling(rep))
-		if *parallelJSON != "" {
-			if err := experiments.WriteScalingJSON(*parallelJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("scaling report written to %s\n", *parallelJSON)
-		}
-	}
-
-	if *compSpeedup {
-		rep, err := experiments.RunCompileSpeedup(*compExecs, *seed)
+		rep, err := experiments.RunSweep(sw, experiments.SweepOptions{
+			Targets: cfg.Targets, Execs: *execs, Trials: *trials, Seed: *seed,
+		})
 		if err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Print(experiments.FormatCompile(rep))
-		if *compJSON != "" {
-			if err := experiments.WriteCompileJSON(*compJSON, rep); err != nil {
+		fmt.Print(experiments.FormatReport(rep))
+		if *jsonPath != "" {
+			if err := experiments.WriteJSON(*jsonPath, rep); err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Printf("compiled-tier report written to %s\n", *compJSON)
+			fmt.Printf("sweep report written to %s\n", *jsonPath)
 		}
-		if !rep.AllIdentical {
-			fatalf("compiled tier diverged from the interpreter")
-		}
-	}
-
-	if *tvRun {
-		rep, err := experiments.RunTransval()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatTransval(rep))
-		if *tvJSON != "" {
-			if err := experiments.AttachTransvalJSON(*tvJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("certification report merged into %s\n", *tvJSON)
-		}
-		// Tripwire: an uncertifiable target means the compiled tier cannot
-		// be trusted for any result in the benchmark suite.
-		if !rep.AllCertified {
-			fatalf("translation validation failed: a target's compiled program did not certify")
-		}
-	}
-
-	if *chaos {
-		rep, err := experiments.RunChaosMatrix(*chaosTgt, *chaosJobs, *chaosExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatChaos(rep))
-		if *chaosJSON != "" {
-			if err := experiments.WriteChaosJSON(*chaosJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("chaos report written to %s\n", *chaosJSON)
-		}
-		if !rep.AllPass {
-			fatalf("chaos matrix failed")
-		}
-	}
-
-	if *sanOverhead {
-		rep, err := experiments.RunSanitizerOverhead(*sanTgt, *sanExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatSanitizer(rep))
-		if *sanJSON != "" {
-			if err := experiments.WriteSanitizerJSON(*sanJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("sanitizer report written to %s\n", *sanJSON)
-		}
-	}
-
-	if *elision {
-		rep, err := experiments.RunRestoreElision(*elisionExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatElision(rep))
-		if *elisionJSON != "" {
-			if err := experiments.WriteElisionJSON(*elisionJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("elision report written to %s\n", *elisionJSON)
-		}
-	}
-
-	if *dictGain {
-		rep, err := experiments.RunDictGain(*dictExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatDictGain(rep))
-		if *dictJSON != "" {
-			if err := experiments.WriteDictGainJSON(*dictJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("harness report written to %s\n", *dictJSON)
-		}
-	}
-
-	if *synthGain {
-		rep, err := experiments.RunSynthGain(*synthExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatSynthGain(rep))
-		if *synthJSON != "" {
-			if err := experiments.WriteSynthGainJSON(*synthJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("synthesis report written to %s\n", *synthJSON)
-		}
-		// Any CLX130 is a synthesizer bug: a harness we emitted failed its
-		// own certification. Fail the bench after writing the artifact.
-		if rep.CLX130 > 0 {
-			fatalf("synth-gain: %d CLX130 certification failure(s)", rep.CLX130)
+		// The artifact is written first so a failed gate can be diagnosed.
+		if !rep.Pass {
+			fatalf("sweep %s: gate failed", sw.Name)
 		}
 	}
 
@@ -328,6 +167,17 @@ func main() {
 		fmt.Printf("\nDeferInitPass extension: %.0f ns/exec -> %.0f ns/exec (%.2fx), results equivalent: %v\n",
 			res.NsPerExecBaseline, res.NsPerExecDeferred, res.Speedup, res.ResultsEquivalent)
 	}
+}
+
+// sweeps is the table -sweep selects from.
+var sweeps = experiments.Sweeps()
+
+func sweepNames() []string {
+	var names []string
+	for _, sw := range sweeps {
+		names = append(names, sw.Name)
+	}
+	return names
 }
 
 func fatalf(format string, args ...interface{}) {

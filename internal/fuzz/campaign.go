@@ -212,7 +212,9 @@ func (c *Campaign) Step() int64 {
 		return c.execs - before
 	}
 	if c.burst == 0 {
-		c.cur = c.queue[c.cursor%len(c.queue)]
+		// Unsigned, so a cursor resumed near the int limit wraps instead
+		// of going negative; for cursor >= 0 the index is unchanged.
+		c.cur = c.queue[uint(c.cursor)%uint(len(c.queue))]
 		c.cursor++
 		c.burst = c.cfg.HavocPerSeed
 	}

@@ -126,6 +126,9 @@ func Resume(cfg Config, data []byte) (*Campaign, error) {
 		return nil, fmt.Errorf("%w: taken for %q, config says %q (resume needs the same target and mechanism)",
 			ErrBadCheckpoint, st.Fingerprint, cfg.Fingerprint)
 	}
+	if err := st.validate(); err != nil {
+		return nil, err
+	}
 	c := NewCampaign(cfg)
 	c.rng.SetState(st.RNGState)
 	c.execs = st.Execs
@@ -135,16 +138,14 @@ func Resume(cfg Config, data []byte) (*Campaign, error) {
 	for _, e := range st.Queue {
 		c.queue = append(c.queue, &Entry{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
 	}
-	if st.CurIndex >= 0 && st.CurIndex < len(c.queue) {
+	if st.CurIndex >= 0 {
 		c.cur = c.queue[st.CurIndex]
-	} else if st.Burst > 0 {
-		return nil, fmt.Errorf("%w: mid-burst without a current entry", ErrBadCheckpoint)
 	}
 	for _, e := range st.Quarantined {
 		c.quarantined = append(c.quarantined, &Entry{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
 	}
 	if err := c.bitmap.SetSnapshot(st.Virgin); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
 	if got := c.bitmap.Edges(); got != st.Edges {
 		return nil, fmt.Errorf("%w: edge count %d does not match bitmap (%d)", ErrBadCheckpoint, st.Edges, got)
@@ -170,4 +171,22 @@ func Resume(cfg Config, data []byte) (*Campaign, error) {
 	c.started = true
 	c.start = time.Now()
 	return c, nil
+}
+
+// validate rejects decoded state a campaign cannot step from: Step and the
+// sentinel index the queue with the scheduler cursors, so the queue must be
+// non-empty and every cursor in range.
+func (st *checkpointState) validate() error {
+	switch {
+	case len(st.Queue) == 0:
+		return fmt.Errorf("%w: empty queue", ErrBadCheckpoint)
+	case st.Cursor < 0 || st.Burst < 0 || st.SentCursor < 0:
+		return fmt.Errorf("%w: negative scheduler state (cursor %d, burst %d, sentinel cursor %d)",
+			ErrBadCheckpoint, st.Cursor, st.Burst, st.SentCursor)
+	case st.CurIndex < -1 || st.CurIndex >= len(st.Queue):
+		return fmt.Errorf("%w: current entry %d outside a %d-entry queue", ErrBadCheckpoint, st.CurIndex, len(st.Queue))
+	case st.CurIndex < 0 && st.Burst > 0:
+		return fmt.Errorf("%w: mid-burst without a current entry", ErrBadCheckpoint)
+	}
+	return nil
 }

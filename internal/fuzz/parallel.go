@@ -855,7 +855,7 @@ func resumeParallelElastic(cfg ParallelConfig, st *parallelState) (*ParallelCamp
 			c.queue = append(c.queue, corpus[j%len(corpus)])
 		}
 		if err := c.bitmap.SetSnapshot(st.Virgin); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 		}
 		// Seeds already ran in the original campaign; bootstrap must not
 		// run again (it would re-execute them and distort the counters).

@@ -78,7 +78,7 @@ func (c *Campaign) sentinelProbe() {
 		c.sentNext = c.execs + s.Every
 		return
 	}
-	e := c.queue[c.sentCursor%len(c.queue)]
+	e := c.queue[uint(c.sentCursor)%uint(len(c.queue))] // wraps like Step's cursor
 	c.sentCursor++
 
 	zeroMap(c.cfg.CovMap)
