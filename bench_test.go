@@ -46,12 +46,13 @@ func BenchmarkTable5(b *testing.B) {
 		for _, mech := range []string{"closurex", "forkserver"} {
 			b.Run(tg.Name+"/"+mech, func(b *testing.B) {
 				inst := benchInstance(b, tg.Name, mech)
-				inst.Campaign.RunExecs(64) // bootstrap seeds outside timing
+				inst.Driver().RunExecs(64) // bootstrap seeds outside timing
+				c := inst.Driver().Shard(0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				var done int64
 				for done < int64(b.N) {
-					done += inst.Campaign.Step()
+					done += c.Step()
 				}
 				b.StopTimer()
 				execsPerSec := float64(b.N) / b.Elapsed().Seconds()
@@ -70,9 +71,9 @@ func BenchmarkTable6(b *testing.B) {
 			b.Run(tg.Name+"/"+mech, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					inst := benchInstance(b, tg.Name, mech)
-					inst.Campaign.RunExecs(campaignExecs)
-					cov := 100 * float64(inst.Campaign.Edges()) / float64(inst.TotalEdges())
-					b.ReportMetric(float64(inst.Campaign.Edges()), "edges")
+					inst.Driver().RunExecs(campaignExecs)
+					cov := 100 * float64(inst.Driver().Edges()) / float64(inst.TotalEdges())
+					b.ReportMetric(float64(inst.Driver().Edges()), "edges")
 					b.ReportMetric(cov, "cov%")
 				}
 			})
@@ -91,12 +92,12 @@ func BenchmarkTable7(b *testing.B) {
 				var totalExecs float64
 				found := 0
 				for i := 0; i < b.N; i++ {
-					inst := benchInstance(b, tgName, mech)
-					for inst.Campaign.Execs() < cap && len(inst.Campaign.Crashes()) == 0 {
-						inst.Campaign.Step()
+					c := benchInstance(b, tgName, mech).Driver().Shard(0)
+					for c.Execs() < cap && len(c.Crashes()) == 0 {
+						c.Step()
 					}
-					if len(inst.Campaign.Crashes()) > 0 {
-						totalExecs += float64(inst.Campaign.Execs())
+					if len(c.Crashes()) > 0 {
+						totalExecs += float64(c.Execs())
 						found++
 					}
 				}

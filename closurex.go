@@ -137,29 +137,27 @@ type Options struct {
 	Stop <-chan struct{}
 	// ResumeFrom restores campaign state from Fuzzer.Checkpoint bytes.
 	// The source/benchmark, mechanism and Seed must match the checkpointed
-	// run. Implies DeterministicRand. A parallel checkpoint resumed under
-	// the same Jobs continues bit-identically; under a different Jobs > 1
-	// the resume is elastic — the merged corpus is re-sharded
-	// deterministically and coverage/counters/crash tables are preserved
-	// exactly, but the forward mutation streams differ (inherent to
-	// changing the topology).
+	// run. Implies DeterministicRand. A checkpoint resumed under the same
+	// Jobs continues bit-identically; under a different Jobs the resume is
+	// elastic — the merged corpus is re-sharded deterministically and
+	// coverage/counters/crash tables are preserved exactly, but the forward
+	// mutation streams differ (inherent to changing the topology).
 	ResumeFrom []byte
 	// Jobs shards the campaign across N parallel workers, each running its
 	// own process image with an independent RNG stream split from Seed,
 	// merging coverage into a shared global bitmap and exchanging corpus
-	// discoveries through a corpus manager. 0 or 1 fuzzes sequentially;
-	// Jobs == 1 through the parallel executor is bit-identical to the
-	// sequential campaign. When the sentinel is armed it rides on shard 0.
-	// Each shard runs under a supervisor that restarts it on faults with
-	// exponential backoff, rebuilds its mechanism past MaxShardRestarts
-	// consecutive faults, and quarantines it permanently if that fails too
-	// — the campaign continues on the remaining healthy shards.
+	// discoveries through a corpus manager. Values below 1 run one shard.
+	// When the sentinel is armed it rides on shard 0. Each shard runs under
+	// a supervisor that restarts it on faults with exponential backoff,
+	// rebuilds its mechanism past MaxShardRestarts consecutive faults, and
+	// quarantines it permanently if that fails too — the campaign continues
+	// on the remaining healthy shards.
 	Jobs int
 	// MaxShardRestarts bounds consecutive supervised restarts per shard
-	// before escalation (0 = default 3). Jobs > 1 only.
+	// before escalation (0 = default 3).
 	MaxShardRestarts int
 	// ShardBackoff is the base shard-restart cooldown, doubling per
-	// consecutive fault (0 = default 2ms). Jobs > 1 only.
+	// consecutive fault (0 = default 2ms).
 	ShardBackoff time.Duration
 }
 
@@ -330,10 +328,10 @@ func NewBenchmarkFuzzerOptions(benchmark, mechanism string, opts Options) (*Fuzz
 func (f *Fuzzer) RunFor(d time.Duration) { f.inst.Driver().RunFor(d) }
 
 // RunExecs fuzzes until at least n test cases have executed (aggregated
-// across shards when Jobs > 1).
+// across shards).
 func (f *Fuzzer) RunExecs(n int64) { f.inst.Driver().RunExecs(n) }
 
-// Jobs returns the number of parallel campaign shards (1 when sequential).
+// Jobs returns the number of campaign shards.
 func (f *Fuzzer) Jobs() int { return f.inst.Jobs() }
 
 // TryOne executes a single input and reports whether it crashed, with the
@@ -349,9 +347,8 @@ func (f *Fuzzer) TryOne(input []byte) (crashed bool, key string) {
 	return false, ""
 }
 
-// Stats returns a snapshot of campaign progress. With Jobs > 1 the
-// counters aggregate across shards and Spawns sums every shard's process
-// spawns.
+// Stats returns a snapshot of campaign progress. The counters aggregate
+// across shards and Spawns sums every shard's process spawns.
 func (f *Fuzzer) Stats() Stats {
 	c := f.inst.Driver()
 	st := Stats{
@@ -395,12 +392,12 @@ func report(cr *fuzz.Crash) CrashReport {
 	}
 }
 
-// Checkpoint serializes the campaign's resumable state (queue, bitmap,
-// crash and hang tables, RNG, scheduler and sentinel cursors; with Jobs >
-// 1, one such blob per shard plus the merged campaign view). Feed the
-// bytes back through Options.ResumeFrom to continue the campaign — with
-// DeterministicRand and the same Jobs, bit-identically to an uninterrupted
-// run; with a different Jobs > 1, elastically (see Options.ResumeFrom).
+// Checkpoint serializes the campaign's resumable state: one record per
+// shard (queue, bitmap, crash and hang tables, RNG, scheduler and sentinel
+// cursors). Feed the bytes back through Options.ResumeFrom to continue the
+// campaign — with DeterministicRand and the same Jobs, bit-identically to
+// an uninterrupted run; with a different Jobs, elastically (see
+// Options.ResumeFrom).
 func (f *Fuzzer) Checkpoint() ([]byte, error) { return f.inst.Driver().Checkpoint() }
 
 // CheckpointTo writes the checkpoint atomically to path (temp file in the
@@ -410,7 +407,7 @@ func (f *Fuzzer) CheckpointTo(path string) error {
 	return fuzz.SaveCheckpoint(f.inst.Driver(), path, nil)
 }
 
-// ShardHealth is one parallel shard's supervision snapshot (see
+// ShardHealth is one campaign shard's supervision snapshot (see
 // Options.Jobs): progress counters, the supervisor's restart/rebuild/
 // quarantine state, and the corpus-exchange backpressure gauges.
 type ShardHealth struct {
@@ -433,27 +430,19 @@ type ShardHealth struct {
 	MechDegraded      bool
 }
 
-// ShardHealth snapshots per-shard supervision state. Sequential fuzzers
-// (Jobs <= 1) return nil. Safe to call while the campaign runs.
+// ShardHealth snapshots per-shard supervision state, one entry per shard.
+// Safe to call while the campaign runs.
 func (f *Fuzzer) ShardHealth() []ShardHealth {
-	if f.inst.Parallel == nil {
-		return nil
-	}
 	var out []ShardHealth
-	for _, h := range f.inst.Parallel.Health() {
+	for _, h := range f.inst.Driver().Health() {
 		out = append(out, ShardHealth(h))
 	}
 	return out
 }
 
 // HealthyShards counts shards not quarantined by their supervisor (equal
-// to Jobs for sequential or fault-free fuzzers).
-func (f *Fuzzer) HealthyShards() int {
-	if f.inst.Parallel == nil {
-		return 1
-	}
-	return f.inst.Parallel.HealthyShards()
-}
+// to Jobs for fault-free fuzzers).
+func (f *Fuzzer) HealthyShards() int { return f.inst.Driver().HealthyShards() }
 
 // MinimizeCrash shrinks a crashing input to a minimal witness that still
 // triggers the same triage bucket, then zeroes every byte that is not
@@ -489,8 +478,8 @@ func (f *Fuzzer) MinimizeCorpus() [][]byte {
 	return fuzz.MinimizeCorpus(f.Corpus(), trace)
 }
 
-// Corpus returns the accumulated queue inputs (deduplicated across shards
-// when Jobs > 1).
+// Corpus returns the accumulated queue inputs (deduplicated across
+// shards).
 func (f *Fuzzer) Corpus() [][]byte {
 	var out [][]byte
 	for _, e := range f.inst.Driver().Queue() {

@@ -50,8 +50,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "campaign RNG seed")
 		status     = flag.Duration("status", 2*time.Second, "status interval")
 		jobs       = flag.Int("jobs", 1, "parallel campaign shards (each with its own process image)")
-		maxShardRs = flag.Int("max-shard-restarts", 0, "consecutive supervised restarts per shard before mechanism rebuild (0 = default 3; -jobs > 1)")
-		shardBack  = flag.Duration("shard-backoff", 0, "base shard-restart cooldown, doubling per consecutive fault (0 = default 2ms; -jobs > 1)")
+		maxShardRs = flag.Int("max-shard-restarts", 0, "consecutive supervised restarts per shard before mechanism rebuild (0 = default 3)")
+		shardBack  = flag.Duration("shard-backoff", 0, "base shard-restart cooldown, doubling per consecutive fault (0 = default 2ms)")
 		statsJSON  = flag.String("stats-json", "", "append per-shard health snapshots to this JSON-lines file at every status interval")
 	)
 	var (
@@ -206,11 +206,7 @@ func main() {
 		return
 	}
 
-	if f.Jobs() > 1 {
-		fmt.Printf("fuzzing with mechanism=%s jobs=%d for %v\n", f.Mechanism(), f.Jobs(), *duration)
-	} else {
-		fmt.Printf("fuzzing with mechanism=%s for %v\n", f.Mechanism(), *duration)
-	}
+	fmt.Printf("fuzzing with mechanism=%s jobs=%d for %v\n", f.Mechanism(), f.Jobs(), *duration)
 	var healthLog *stats.HealthLog
 	if *statsJSON != "" {
 		healthLog, err = stats.OpenHealthLog(*statsJSON)

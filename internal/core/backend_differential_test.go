@@ -64,18 +64,18 @@ func observeBackendCampaign(t *testing.T, tgt *targets.Target, backend string, m
 		t.Fatalf("%s backend=%s mode=%s: %v", tgt.Name, backend, mode.name, err)
 	}
 	defer inst.Close()
-	inst.Campaign.RunExecs(backendDiffExecs)
+	inst.Driver().RunExecs(backendDiffExecs)
 	obs := &campaignObs{
-		edges:  inst.Campaign.Edges(),
-		bitmap: inst.Campaign.BitmapSnapshot(),
+		edges:  inst.Driver().Edges(),
+		bitmap: inst.Driver().BitmapSnapshot(),
 	}
-	for _, e := range inst.Campaign.Queue() {
+	for _, e := range inst.Driver().Queue() {
 		obs.queue = append(obs.queue, append([]byte(nil), e.Input...))
 	}
-	for _, c := range inst.Campaign.Crashes() {
+	for _, c := range inst.Driver().Crashes() {
 		obs.crashes = append(obs.crashes, c.Key)
 	}
-	for _, h := range inst.Campaign.Hangs() {
+	for _, h := range inst.Driver().Hangs() {
 		obs.hangs = append(obs.hangs, h.Key)
 	}
 	return obs
@@ -175,8 +175,8 @@ func TestSentinelCrossBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer inst.Close()
-			inst.Campaign.RunExecs(backendDiffExecs)
-			if d := inst.Campaign.Divergences(); len(d) != 0 {
+			inst.Driver().RunExecs(backendDiffExecs)
+			if d := inst.Driver().Divergences(); len(d) != 0 {
 				t.Fatalf("cross-backend sentinel reported %d divergences: %+v", len(d), d[0])
 			}
 		})

@@ -260,42 +260,32 @@ func CheckModule(m *ir.Module, v Variant) analysis.Diagnostics {
 }
 
 // Instance is one runnable fuzzing configuration: a target built for a
-// mechanism, plus a campaign driving it. With Jobs <= 1 the campaign is
-// the sequential fuzz.Campaign; with Jobs > 1 it is a
-// fuzz.ParallelCampaign over Jobs mechanisms, and Mech/CovMap alias shard
-// 0's. Driver returns whichever is active.
+// mechanism, plus a fuzz.ParallelCampaign over Jobs mechanisms driving it.
+// Mech/CovMap alias shard 0's.
 type Instance struct {
-	Target   *targets.Target
-	Module   *ir.Module
-	Mech     execmgr.Mechanism
-	CovMap   []byte
+	Target *targets.Target
+	Module *ir.Module
+	Mech   execmgr.Mechanism
+	CovMap []byte
+	// Campaign is shard 0's campaign when Jobs == 1, nil otherwise.
 	Campaign *fuzz.Campaign
-	// Mechs holds every shard's mechanism (len 1 for sequential runs).
+	// Mechs holds every shard's mechanism.
 	Mechs []execmgr.Mechanism
-	// Parallel is non-nil when the instance runs sharded (Jobs > 1).
+	// Parallel is the fleet when Jobs > 1, nil otherwise; Driver returns
+	// the fleet at any Jobs.
 	Parallel *fuzz.ParallelCampaign
 
+	fleet *fuzz.ParallelCampaign
 	// mechMu guards Mechs against concurrent mutation by shard-supervisor
-	// rebuild callbacks (nil for sequential instances, which never rebuild).
-	mechMu *sync.Mutex
+	// rebuild callbacks.
+	mechMu sync.Mutex
 }
 
-// Driver returns the active campaign — sequential or parallel — behind the
-// shared fuzz.Driver interface.
-func (in *Instance) Driver() fuzz.Driver {
-	if in.Parallel != nil {
-		return in.Parallel
-	}
-	return in.Campaign
-}
+// Driver returns the campaign fleet.
+func (in *Instance) Driver() *fuzz.ParallelCampaign { return in.fleet }
 
-// Jobs returns the number of parallel shards (1 for sequential instances).
-func (in *Instance) Jobs() int {
-	if in.Parallel != nil {
-		return in.Parallel.Jobs()
-	}
-	return 1
-}
+// Jobs returns the number of campaign shards.
+func (in *Instance) Jobs() int { return in.fleet.Jobs() }
 
 // InstanceOptions tunes NewInstance.
 type InstanceOptions struct {
@@ -347,16 +337,16 @@ type InstanceOptions struct {
 	// Stop propagates a supervisor's shutdown request into the campaign.
 	Stop <-chan struct{}
 	// ResumeFrom, when non-nil, restores campaign state from a checkpoint
-	// (fuzz.Campaign.Checkpoint) instead of starting fresh. The target,
-	// mechanism and TrialSeed must match the checkpointed run.
+	// (fuzz.ParallelCampaign.Checkpoint) instead of starting fresh. The
+	// target, mechanism and TrialSeed must match the checkpointed run. The
+	// checkpoint resumes bit-identically under the same Jobs and
+	// elastically (corpus re-sharded deterministically, totals preserved)
+	// under any other Jobs.
 	ResumeFrom []byte
 	// Jobs shards the campaign across N parallel workers, each with its
 	// own process image and harness, merging coverage into a shared global
-	// bitmap. 0 or 1 runs the plain sequential campaign; Jobs == 1 via the
-	// parallel executor is bit-identical to it. A parallel checkpoint
-	// resumes bit-identically under the same Jobs and elastically (corpus
-	// re-sharded deterministically, totals preserved) under any other
-	// Jobs > 1; sequential checkpoints still need Jobs <= 1.
+	// bitmap. Values below 1 run one shard, which is bit-identical to the
+	// sequential fuzz.Campaign.
 	Jobs int
 	// AutoDict harvests an input-dataflow auto-dictionary from the built
 	// module (analysis/harnessaudit: constants the target compares
@@ -368,10 +358,10 @@ type InstanceOptions struct {
 	AutoDict bool
 	// MaxShardRestarts bounds consecutive supervised restarts per shard
 	// before the supervisor escalates to a mechanism rebuild (0 uses the
-	// fuzz.SupervisorConfig default of 3). Parallel instances only.
+	// fuzz.SupervisorConfig default of 3).
 	MaxShardRestarts int
 	// ShardBackoff is the base cooldown before a shard restart, doubling
-	// per consecutive fault (0 uses the default). Parallel instances only.
+	// per consecutive fault (0 uses the default).
 	ShardBackoff time.Duration
 	// Backend selects the VM execution engine for every mechanism the
 	// instance builds: "" or "interp" for the reference interpreter,
@@ -464,7 +454,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		pages = 0
 	}
 	// newMech builds one execution mechanism over the shared instrumented
-	// module. Every shard of a parallel instance gets its own: VM memory
+	// module. Every shard gets its own: VM memory
 	// uses non-atomic copy-on-write bookkeeping, so process images must
 	// never be shared across shard goroutines. randSeed varies per shard
 	// (ShardSeed) so heap ASLR and target rand() streams are independent.
@@ -488,45 +478,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		}
 		return execmgr.New(mechanism, mcfg)
 	}
-	// newSentinel arms the divergence sentinel against mech. The reference
-	// replays each probe in a brand-new process image of the SAME
-	// instrumented module, so both coverage maps share probe geometry.
-	// Image pages are skipped: the reference models fresh semantics, not
-	// fresh cost. Its PRNG seed matches the probed mechanism's so
-	// rand()/heap-ASLR streams cannot masquerade as divergence (the §6.1.4
-	// nondeterminism masking, done by construction).
-	newSentinel := func(mech execmgr.Mechanism, randSeed uint64) (*fuzz.SentinelConfig, error) {
-		refBackend := opts.Backend
-		if opts.SentinelCrossBackend {
-			// Two-sided differential: the reference replays every probe on
-			// the other execution backend, so any interp/compiled semantic
-			// gap surfaces as sentinel divergence during the campaign.
-			refBackend = otherBackend(opts.Backend)
-		}
-		refCov := make([]byte, fuzz.MapSize)
-		ref, rerr := execmgr.NewFresh(execmgr.Config{
-			Module:            mod,
-			CovMap:            refCov,
-			Budget:            opts.Budget,
-			Files:             opts.Files,
-			DeterministicRand: opts.DeterministicRand,
-			RandSeed:          randSeed,
-			Sanitize:          opts.Sanitize.Enabled(),
-			Backend:           refBackend,
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("core: sentinel reference: %w", rerr)
-		}
-		sc := &fuzz.SentinelConfig{
-			Reference: ref,
-			RefCovMap: refCov,
-			Every:     opts.SentinelEvery,
-		}
-		if ctrl, ok := mech.(fuzz.Controller); ok {
-			sc.Controller = ctrl
-		}
-		return sc, nil
-	}
 	var dict [][]byte
 	for _, tok := range t.Dict {
 		dict = append(dict, []byte(tok))
@@ -534,80 +485,25 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	if opts.AutoDict {
 		dict = fuzz.MergeDict(append(dict, harnessaudit.Harvest(mod)...), fuzz.DefaultDictCap)
 	}
-	fingerprint := t.Name + "@" + mechanism
-
-	if opts.Jobs > 1 {
-		return newParallelInstance(t, mod, opts, newMech, newSentinel, dict, fingerprint)
-	}
-
-	cov := make([]byte, fuzz.MapSize)
-	mech, err := newMech(cov, opts.TrialSeed)
-	if err != nil {
-		return nil, err
-	}
-	ccfg := fuzz.Config{
-		Executor:    mech,
-		CovMap:      cov,
-		Seeds:       t.Seeds(),
-		Seed:        opts.TrialSeed,
-		Fingerprint: fingerprint,
-		MaxInputLen: t.MaxInputLen,
-		Dict:        dict,
-		Stop:        opts.Stop,
-	}
-	if opts.SentinelEvery > 0 {
-		sc, serr := newSentinel(mech, opts.TrialSeed)
-		if serr != nil {
-			mech.Close()
-			return nil, serr
-		}
-		ccfg.Sentinel = sc
-	}
-	var camp *fuzz.Campaign
-	if opts.ResumeFrom != nil {
-		camp, err = fuzz.Resume(ccfg, opts.ResumeFrom)
-		if err != nil {
-			mech.Close()
-			return nil, fmt.Errorf("core: resume %s: %w", t.Name, err)
-		}
-	} else {
-		camp = fuzz.NewCampaign(ccfg)
-	}
-	return &Instance{
-		Target: t, Module: mod, Mech: mech, CovMap: cov, Campaign: camp,
-		Mechs: []execmgr.Mechanism{mech},
-	}, nil
-}
-
-// newParallelInstance assembles a Jobs-shard instance: one mechanism and
-// coverage buffer per shard, the divergence sentinel (when armed) riding
-// on shard 0 only so the rest of the fleet fuzzes at full speed.
-func newParallelInstance(
-	t *targets.Target, mod *ir.Module, opts InstanceOptions,
-	newMech func(cov []byte, randSeed uint64) (execmgr.Mechanism, error),
-	newSentinel func(mech execmgr.Mechanism, randSeed uint64) (*fuzz.SentinelConfig, error),
-	dict [][]byte, fingerprint string,
-) (*Instance, error) {
-	mechs := make([]execmgr.Mechanism, 0, opts.Jobs)
-	mechMu := &sync.Mutex{}
-	closeAll := func() {
-		for _, m := range mechs {
-			m.Close()
-		}
-	}
+	jobs := max(opts.Jobs, 1)
+	in := &Instance{Target: t, Module: mod}
+	// Every shard gets its own mechanism and coverage buffer; the
+	// divergence sentinel (when armed) rides on shard 0 only so the rest of
+	// the fleet fuzzes at full speed.
 	var shards []fuzz.ShardConfig
-	for j := 0; j < opts.Jobs; j++ {
+	for j := 0; j < jobs; j++ {
 		cov := make([]byte, fuzz.MapSize)
 		mech, err := newMech(cov, fuzz.ShardSeed(opts.TrialSeed, j))
 		if err != nil {
-			closeAll()
+			in.Close()
 			return nil, fmt.Errorf("core: shard %d: %w", j, err)
 		}
-		mechs = append(mechs, mech)
+		in.Mechs = append(in.Mechs, mech)
 		sc := fuzz.ShardConfig{Executor: mech, CovMap: cov}
 		// The supervisor's escalation rebuild: a brand-new mechanism (fresh
 		// VM + harness) over the same module, swapped into the instance's
-		// mechanism table so Close releases the replacement, not the corpse.
+		// mechanism table (and Mech/CovMap for shard 0) so Close releases
+		// the replacement, not the corpse, and TryOne runs on a live image.
 		// Shard 0 skips this when the sentinel is armed — the sentinel's
 		// controller is wired to the original mechanism, and a swap would
 		// leave it probing a closed image (the mechanism-level rebuild
@@ -620,10 +516,13 @@ func newParallelInstance(
 				if rerr != nil {
 					return nil, nil, rerr
 				}
-				mechMu.Lock()
-				old := mechs[j]
-				mechs[j] = nm
-				mechMu.Unlock()
+				in.mechMu.Lock()
+				old := in.Mechs[j]
+				in.Mechs[j] = nm
+				if j == 0 {
+					in.Mech, in.CovMap = nm, ncov
+				}
+				in.mechMu.Unlock()
 				old.Close()
 				return nm, ncov, nil
 			}
@@ -633,7 +532,7 @@ func newParallelInstance(
 	pcfg := fuzz.ParallelConfig{
 		Shards:      shards,
 		Seed:        opts.TrialSeed,
-		Fingerprint: fingerprint,
+		Fingerprint: t.Name + "@" + mechanism,
 		Seeds:       t.Seeds(),
 		MaxInputLen: t.MaxInputLen,
 		Dict:        dict,
@@ -645,37 +544,63 @@ func newParallelInstance(
 		},
 	}
 	if opts.SentinelEvery > 0 {
-		sc, err := newSentinel(mechs[0], fuzz.ShardSeed(opts.TrialSeed, 0))
-		if err != nil {
-			closeAll()
-			return nil, err
+		// The sentinel's reference replays each probe in a brand-new
+		// process image of the SAME instrumented module, so both coverage
+		// maps share probe geometry. Image pages are skipped: the reference
+		// models fresh semantics, not fresh cost. Its PRNG seed matches
+		// shard 0's so rand()/heap-ASLR streams cannot masquerade as
+		// divergence (the §6.1.4 nondeterminism masking, done by
+		// construction).
+		refBackend := opts.Backend
+		if opts.SentinelCrossBackend {
+			// Two-sided differential: the reference replays every probe on
+			// the other execution backend, so any interp/compiled semantic
+			// gap surfaces as sentinel divergence during the campaign.
+			refBackend = otherBackend(opts.Backend)
 		}
-		pcfg.Sentinel = sc
+		refCov := make([]byte, fuzz.MapSize)
+		ref, err := execmgr.NewFresh(execmgr.Config{
+			Module:            mod,
+			CovMap:            refCov,
+			Budget:            opts.Budget,
+			Files:             opts.Files,
+			DeterministicRand: opts.DeterministicRand,
+			RandSeed:          fuzz.ShardSeed(opts.TrialSeed, 0),
+			Sanitize:          opts.Sanitize.Enabled(),
+			Backend:           refBackend,
+		})
+		if err != nil {
+			in.Close()
+			return nil, fmt.Errorf("core: sentinel reference: %w", err)
+		}
+		pcfg.Sentinel = &fuzz.SentinelConfig{Reference: ref, RefCovMap: refCov, Every: opts.SentinelEvery}
+		if ctrl, ok := in.Mechs[0].(fuzz.Controller); ok {
+			pcfg.Sentinel.Controller = ctrl
+		}
 	}
-	var par *fuzz.ParallelCampaign
-	var err error
+	var fleet *fuzz.ParallelCampaign
 	if opts.ResumeFrom != nil {
-		par, err = fuzz.ResumeParallel(pcfg, opts.ResumeFrom)
+		fleet, err = fuzz.ResumeParallel(pcfg, opts.ResumeFrom)
 	} else {
-		par, err = fuzz.NewParallelCampaign(pcfg)
+		fleet, err = fuzz.NewParallelCampaign(pcfg)
 	}
 	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("core: parallel campaign %s: %w", t.Name, err)
+		in.Close()
+		return nil, fmt.Errorf("core: campaign %s: %w", t.Name, err)
 	}
-	return &Instance{
-		Target: t, Module: mod,
-		Mech: mechs[0], CovMap: shards[0].CovMap,
-		Mechs: mechs, Parallel: par, mechMu: mechMu,
-	}, nil
+	in.Mech, in.CovMap, in.fleet = in.Mechs[0], shards[0].CovMap, fleet
+	if jobs == 1 {
+		in.Campaign = fleet.Shard(0)
+	} else {
+		in.Parallel = fleet
+	}
+	return in, nil
 }
 
 // Close releases every shard mechanism's resources.
 func (in *Instance) Close() {
-	if in.mechMu != nil {
-		in.mechMu.Lock()
-		defer in.mechMu.Unlock()
-	}
+	in.mechMu.Lock()
+	defer in.mechMu.Unlock()
 	for _, m := range in.Mechs {
 		m.Close()
 	}

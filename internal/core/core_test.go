@@ -3,7 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"closurex/internal/faultinject"
 	"closurex/internal/ir"
 	"closurex/internal/passes"
 	"closurex/internal/targets"
@@ -99,17 +101,43 @@ func TestNewInstanceAcrossMechanisms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
 		}
-		inst.Campaign.RunExecs(300)
-		if inst.Campaign.Execs() < 300 {
-			t.Fatalf("%s: execs = %d", mech, inst.Campaign.Execs())
+		inst.Driver().RunExecs(300)
+		if inst.Driver().Execs() < 300 {
+			t.Fatalf("%s: execs = %d", mech, inst.Driver().Execs())
 		}
-		if inst.Campaign.Edges() == 0 {
+		if inst.Driver().Edges() == 0 {
 			t.Fatalf("%s: no coverage", mech)
 		}
 		if inst.TotalProbes() == 0 {
 			t.Fatalf("%s: no probes", mech)
 		}
 		inst.Close()
+	}
+}
+
+// A Jobs=1 instance runs under the shard supervisor: a fault streak past
+// MaxShardRestarts rebuilds shard 0's mechanism, and Mech/CovMap follow
+// the replacement so TryOne-style callers never touch the closed image.
+func TestJobsOneRebuildSwapsMech(t *testing.T) {
+	inj := faultinject.New(1)
+	inj.FailAfter(faultinject.ShardKill, 100, 4) // 3 restarts, then a rebuild
+	inst, err := NewInstance(targets.Get("giftext"), "closurex", InstanceOptions{
+		TrialSeed: 1, ImagePagesOverride: -1, Injector: inj, ShardBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	orig := inst.Mech
+	inst.Driver().RunExecs(2000)
+	if h := inst.Driver().Health()[0]; h.Rebuilds != 1 || h.Quarantined {
+		t.Fatalf("shard 0 health = %+v, want one rebuild and no quarantine", h)
+	}
+	if inst.Mech == orig || inst.Mech != inst.Mechs[0] {
+		t.Fatal("Mech still points at the retired mechanism")
+	}
+	if res := inst.Mech.Execute([]byte("GIF89a")); res.Fault != nil {
+		t.Fatalf("replacement mechanism faulted: %v", res.Fault)
 	}
 }
 

@@ -51,18 +51,18 @@ func observeCampaign(t *testing.T, tgt *targets.Target, interproc bool) *campaig
 		t.Fatalf("%s interproc=%v: %v", tgt.Name, interproc, err)
 	}
 	defer inst.Close()
-	inst.Campaign.RunExecs(interprocDiffExecs)
+	inst.Driver().RunExecs(interprocDiffExecs)
 	obs := &campaignObs{
-		edges:  inst.Campaign.Edges(),
-		bitmap: inst.Campaign.BitmapSnapshot(),
+		edges:  inst.Driver().Edges(),
+		bitmap: inst.Driver().BitmapSnapshot(),
 	}
-	for _, e := range inst.Campaign.Queue() {
+	for _, e := range inst.Driver().Queue() {
 		obs.queue = append(obs.queue, append([]byte(nil), e.Input...))
 	}
-	for _, c := range inst.Campaign.Crashes() {
+	for _, c := range inst.Driver().Crashes() {
 		obs.crashes = append(obs.crashes, c.Key)
 	}
-	for _, h := range inst.Campaign.Hangs() {
+	for _, h := range inst.Driver().Hangs() {
 		obs.hangs = append(obs.hangs, h.Key)
 	}
 	return obs

@@ -84,13 +84,14 @@ func RunAblation(d time.Duration, seed uint64) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst.Campaign.RunFor(d)
+		drv := inst.Driver()
+		drv.RunFor(d)
 		row := AblationRow{Name: cfg.name}
-		if el := inst.Campaign.Elapsed(); el > 0 {
-			row.ExecsPerSec = float64(inst.Campaign.Execs()) / el.Seconds()
+		if el := drv.Elapsed(); el > 0 {
+			row.ExecsPerSec = float64(drv.Execs()) / el.Seconds()
 		}
 		found := map[string]bool{}
-		for _, cr := range inst.Campaign.Crashes() {
+		for _, cr := range drv.Crashes() {
 			if id, planted := keys[cr.Key]; planted {
 				found[id] = true
 			} else {

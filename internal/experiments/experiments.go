@@ -153,19 +153,20 @@ func runTrial(t *targets.Target, mech string, cfg Config, trial int, keys map[st
 		return TrialResult{}, err
 	}
 	defer inst.Close()
-	inst.Campaign.RunFor(cfg.TrialDuration)
+	drv := inst.Driver()
+	drv.RunFor(cfg.TrialDuration)
 	res := TrialResult{
 		Target:     t.Name,
 		Mechanism:  mech,
 		Trial:      trial,
-		Execs:      inst.Campaign.Execs(),
-		Edges:      inst.Campaign.Edges(),
+		Execs:      drv.Execs(),
+		Edges:      drv.Edges(),
 		TotalEdges: inst.TotalEdges(),
 		Spawns:     inst.Mech.Spawns(),
 		Duration:   cfg.TrialDuration,
 		BugTimes:   map[string]time.Duration{},
 	}
-	for _, cr := range inst.Campaign.Crashes() {
+	for _, cr := range drv.Crashes() {
 		if id, ok := keys[cr.Key]; ok {
 			res.BugTimes[id] = cr.FirstAt
 		}
@@ -213,9 +214,9 @@ func fuzzQueue(t *targets.Target, execs int64, seed uint64) ([][]byte, error) {
 		return nil, err
 	}
 	defer inst.Close()
-	inst.Campaign.RunExecs(execs)
+	inst.Driver().RunExecs(execs)
 	var queue [][]byte
-	for _, e := range inst.Campaign.Queue() {
+	for _, e := range inst.Driver().Queue() {
 		queue = append(queue, append([]byte(nil), e.Input...))
 	}
 	return queue, nil

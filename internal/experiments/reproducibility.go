@@ -88,8 +88,8 @@ func RunReproducibility(targetName string, d time.Duration, seed uint64) (Reprod
 			return nil, err
 		}
 		defer inst.Close()
-		inst.Campaign.RunFor(d)
-		return inst.Campaign.Crashes(), nil
+		inst.Driver().RunFor(d)
+		return inst.Driver().Crashes(), nil
 	}
 
 	naive, err := run("persistent-naive")

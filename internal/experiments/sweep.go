@@ -184,13 +184,11 @@ func measure(sweep string, p Point, execs int64, trials int, seed uint64) (Row, 
 		sum := campaignDigest(drv, row.virgin)
 		var restarts, rebuilds int64
 		quarantined := 0
-		if in.Parallel != nil {
-			for _, h := range in.Parallel.Health() {
-				restarts += h.Restarts
-				rebuilds += h.Rebuilds
-				if h.Quarantined {
-					quarantined++
-				}
+		for _, h := range drv.Health() {
+			restarts += h.Restarts
+			rebuilds += h.Rebuilds
+			if h.Quarantined {
+				quarantined++
 			}
 		}
 		if trial == 0 {
@@ -217,7 +215,7 @@ func measure(sweep string, p Point, execs int64, trials int, seed uint64) (Row, 
 
 // campaignDigest hashes what a campaign produced: its virgin map, its
 // queue in order, and its crash and hang tables (wall-clock times left out).
-func campaignDigest(drv fuzz.Driver, virgin []byte) [32]byte {
+func campaignDigest(drv *fuzz.ParallelCampaign, virgin []byte) [32]byte {
 	h := sha256.New()
 	h.Write(virgin)
 	for _, e := range drv.Queue() {
@@ -235,14 +233,11 @@ func campaignDigest(drv fuzz.Driver, virgin []byte) [32]byte {
 	return out
 }
 
-// shardsOf returns every shard's campaign (the sequential campaign at J=1).
+// shardsOf returns every shard's campaign.
 func shardsOf(in *core.Instance) []*fuzz.Campaign {
-	if in.Parallel == nil {
-		return []*fuzz.Campaign{in.Campaign}
-	}
 	out := make([]*fuzz.Campaign, in.Jobs())
 	for j := range out {
-		out[j] = in.Parallel.Shard(j)
+		out[j] = in.Driver().Shard(j)
 	}
 	return out
 }

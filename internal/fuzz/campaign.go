@@ -45,7 +45,7 @@ type Config struct {
 	// Seed seeds the campaign RNG (one trial = one seed).
 	Seed uint64
 	// Fingerprint identifies the target+mechanism a checkpoint belongs to;
-	// Resume rejects a checkpoint whose fingerprint differs (a bitmap or
+	// resume rejects a checkpoint whose fingerprint differs (a bitmap or
 	// crash table grafted onto the wrong target is silent corruption).
 	Fingerprint string
 	// MaxInputLen bounds mutated inputs (default 4096).
@@ -57,7 +57,7 @@ type Config struct {
 	SpliceProb int
 	// Dict supplies format keywords for the dictionary mutators (AFL -x).
 	Dict [][]byte
-	// Stop, when non-nil, requests clean shutdown: RunFor/RunExecs return
+	// Stop, when non-nil, requests clean shutdown: RunExecs returns
 	// at the next coarse check once it is closed, leaving the campaign in a
 	// checkpointable state. This is how a supervisor (signal handler,
 	// fleet controller) stops a campaign without killing the process.
@@ -244,21 +244,6 @@ func (c *Campaign) stopRequested() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// RunFor drives the campaign until d has elapsed or the stop channel
-// closes. The deadline and stop checks run every CheckEvery steps, keeping
-// time.Now() and channel polling out of the per-iteration hot path.
-func (c *Campaign) RunFor(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for {
-		for i := 0; i < c.cfg.CheckEvery; i++ {
-			c.Step()
-		}
-		if c.stopRequested() || time.Now().After(deadline) {
-			return
-		}
 	}
 }
 

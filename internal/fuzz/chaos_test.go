@@ -496,7 +496,7 @@ func TestParallelResumeErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Version mismatch: a v1-era envelope is rejected, not misparsed.
+	// Version mismatch: an older envelope is rejected, not misparsed.
 	old := encodeParallelState(t, &parallelState{Version: 1, Jobs: 2, Shards: [][]byte{{1}, {2}}})
 	if _, err := ResumeParallel(mk(), old); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("stale version accepted: %v", err)
@@ -518,14 +518,33 @@ func TestParallelResumeErrorPaths(t *testing.T) {
 	if _, err := ResumeParallel(wrongFP, blob); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("wrong fingerprint accepted: %v", err)
 	}
-	// Elastic resume of an envelope with no merged corpus (hand-built, as a
-	// corrupted or pre-elastic writer would produce) must fail loudly.
+	// Elastic resume of an envelope whose shard records are garbage
+	// (hand-built, as a corrupted writer would produce) must fail loudly.
 	empty := encodeParallelState(t, &parallelState{
 		Version: parallelCheckpointVersion, Jobs: 3, Seed: 42, Fingerprint: "ladder@test",
 		Shards: [][]byte{{1}, {2}, {3}},
 	})
 	if _, err := ResumeParallel(mk(), empty); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("corpus-less elastic envelope accepted: %v", err)
+		t.Fatalf("garbage-record elastic envelope accepted: %v", err)
+	}
+	// One corrupt shard record in an otherwise real checkpoint is rejected
+	// at the checkpoint's own J (exact path) and at any other J (elastic
+	// path): every record is decoded and validated whatever the topology.
+	var st parallelState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	st.Shards[1] = st.Shards[1][:len(st.Shards[1])/2]
+	corrupt := encodeParallelState(t, &st)
+	for _, jobs := range []int{2, 3} {
+		cfg := mk()
+		for len(cfg.Shards) < jobs {
+			ex, cov := newLadder("MAGIC")
+			cfg.Shards = append(cfg.Shards, ShardConfig{Executor: ex, CovMap: cov})
+		}
+		if _, err := ResumeParallel(cfg, corrupt); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("corrupt shard record accepted at J=%d: %v", jobs, err)
+		}
 	}
 }
 

@@ -8,14 +8,15 @@ import (
 	"time"
 )
 
-// ErrBadCheckpoint wraps every Resume rejection — version skew, seed or
-// fingerprint mismatch, corrupt or inconsistent state — so supervisors can
-// errors.Is the whole class and fall back to a fresh campaign.
+// ErrBadCheckpoint wraps every ResumeParallel rejection — version skew,
+// seed or fingerprint mismatch, corrupt or inconsistent state — so
+// supervisors can errors.Is the whole class and fall back to a fresh
+// campaign.
 var ErrBadCheckpoint = errors.New("fuzz: incompatible checkpoint")
 
-// checkpointVersion guards the serialized layout; bump on any change to
-// checkpointState so a stale file fails loudly instead of resuming a
-// half-garbage campaign.
+// checkpointVersion guards the per-shard record layout; bump on any change
+// to checkpointState so a stale record fails loudly instead of resuming a
+// half-garbage shard.
 const checkpointVersion = 1
 
 // entryState is the serialized form of a queue entry.
@@ -25,7 +26,8 @@ type entryState struct {
 	Gain    int
 }
 
-// checkpointState is everything a campaign needs to continue bit-identical
+// checkpointState is the per-shard record a fleet checkpoint carries for
+// each shard: everything one campaign needs to continue bit-identical
 // after a process death: the queue, the cumulative bitmap, crash and hang
 // tables, the RNG, the scheduler cursors, and the sentinel's bookkeeping.
 // The execution mechanism itself is NOT serialized — ClosureX restores all
@@ -58,10 +60,9 @@ type checkpointState struct {
 	Quarantined []entryState
 }
 
-// Checkpoint serializes the campaign's state. Safe to call at any Step
-// boundary (RunFor/RunExecs return at such boundaries, as does the stop
-// channel); the resulting bytes hand to Resume.
-func (c *Campaign) Checkpoint() ([]byte, error) {
+// checkpoint serializes the campaign's state as one shard record. Safe to
+// call at any Step boundary; the resulting bytes hand to resume.
+func (c *Campaign) checkpoint() ([]byte, error) {
 	st := checkpointState{
 		Version:     checkpointVersion,
 		Seed:        c.cfg.Seed,
@@ -105,13 +106,13 @@ func (c *Campaign) Checkpoint() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Resume reconstructs a campaign from a checkpoint. cfg supplies the live
-// pieces a checkpoint cannot carry — the executor, coverage map, seeds,
+// resume reconstructs a campaign from a shard record. cfg supplies the live
+// pieces a record cannot carry — the executor, coverage map, seeds,
 // dictionary, sentinel wiring — and must describe the same target and seed
-// as the checkpointed run; the serialized state supplies everything else.
+// as the checkpointed shard; the record supplies everything else.
 // Continuing a resumed campaign replays the exact mutation stream the
 // uninterrupted campaign would have produced.
-func Resume(cfg Config, data []byte) (*Campaign, error) {
+func resume(cfg Config, data []byte) (*Campaign, error) {
 	var st checkpointState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)

@@ -8,31 +8,20 @@ import (
 )
 
 // Supervisors decide between "retry with the right flags" and "start
-// fresh" by errors.Is(err, ErrBadCheckpoint); every Resume rejection must
-// carry the sentinel.
+// fresh" by errors.Is(err, ErrBadCheckpoint); every rejection of a shard
+// record or a fleet envelope must carry the sentinel.
 func TestResumeRejectionsWrapErrBadCheckpoint(t *testing.T) {
 	c, ex := newResilienceCampaign([][]byte{{'a'}}, 5)
 	c.RunExecs(100)
-	good, err := c.Checkpoint()
+	good, err := c.checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Executor: ex, CovMap: ex.cov, Seed: 5}
-	// mangle re-encodes the good checkpoint with one field made hostile.
-	mangle := func(edit func(st *checkpointState)) []byte {
-		var st checkpointState
-		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		edit(&st)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	// mangle re-encodes the good record with one field made hostile.
+	mangle := func(edit func(st *checkpointState)) []byte { return mangleRecord(t, good, edit) }
 	// The elastic path (a 2-shard fleet checkpoint resumed on 1 shard)
-	// restores the merged virgin map itself.
+	// decodes every shard record too; one with a short virgin map fails.
 	fleet, mkFleet := newCheckpointFleet(t)
 	fleet.RunExecs(500)
 	fleetBlob, err := fleet.Checkpoint()
@@ -43,7 +32,7 @@ func TestResumeRejectionsWrapErrBadCheckpoint(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(fleetBlob)).Decode(&pst); err != nil {
 		t.Fatal(err)
 	}
-	pst.Virgin = pst.Virgin[:1]
+	pst.Shards[1] = mangleRecord(t, pst.Shards[1], func(st *checkpointState) { st.Virgin = st.Virgin[:1] })
 	var shortFleet bytes.Buffer
 	if err := gob.NewEncoder(&shortFleet).Encode(&pst); err != nil {
 		t.Fatal(err)
@@ -59,8 +48,8 @@ func TestResumeRejectionsWrapErrBadCheckpoint(t *testing.T) {
 		name string
 		cfg  Config
 		data []byte
-		// resume overrides Resume(cfg, data) for non-sequential formats.
-		resume func(data []byte) error
+		// via overrides resume(cfg, data) for fleet envelopes.
+		via func(data []byte) error
 	}{
 		{"garbage bytes", cfg, []byte("not a checkpoint"), nil},
 		{"seed mismatch", func() Config { c := cfg; c.Seed = 6; return c }(), good, nil},
@@ -76,10 +65,10 @@ func TestResumeRejectionsWrapErrBadCheckpoint(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
-			if tc.resume != nil {
-				err = tc.resume(tc.data)
+			if tc.via != nil {
+				err = tc.via(tc.data)
 			} else {
-				_, err = Resume(tc.cfg, tc.data)
+				_, err = resume(tc.cfg, tc.data)
 			}
 			if err == nil {
 				t.Fatal("bad checkpoint accepted")
@@ -91,7 +80,22 @@ func TestResumeRejectionsWrapErrBadCheckpoint(t *testing.T) {
 	}
 
 	// The matching configuration still resumes.
-	if _, err := Resume(cfg, good); err != nil {
+	if _, err := resume(cfg, good); err != nil {
 		t.Fatalf("good checkpoint rejected: %v", err)
 	}
+}
+
+// mangleRecord decodes a shard record, applies edit, and re-encodes it.
+func mangleRecord(t *testing.T, blob []byte, edit func(st *checkpointState)) []byte {
+	t.Helper()
+	var st checkpointState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	edit(&st)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -15,11 +15,11 @@ import (
 	"closurex/internal/faultinject"
 )
 
-// SaveCheckpoint serializes d and writes the blob atomically to path. The
+// SaveCheckpoint serializes p and writes the blob atomically to path. The
 // injector (nil for production) arms the CheckpointWrite chaos site, which
 // fails the write mid-stream the way a full disk or a crash would.
-func SaveCheckpoint(d Driver, path string, inj *faultinject.Injector) error {
-	blob, err := d.Checkpoint()
+func SaveCheckpoint(p *ParallelCampaign, path string, inj *faultinject.Injector) error {
+	blob, err := p.Checkpoint()
 	if err != nil {
 		return err
 	}

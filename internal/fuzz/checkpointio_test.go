@@ -3,7 +3,7 @@ package fuzz
 // Torn-write regression for the atomic checkpoint path: an injected failure
 // mid-write (modeling a crash or a full disk) must leave the previous
 // checkpoint intact and resumable, and the half-written blob must be
-// rejected by Resume with ErrBadCheckpoint rather than misparsed.
+// rejected by ResumeParallel with ErrBadCheckpoint rather than misparsed.
 
 import (
 	"errors"

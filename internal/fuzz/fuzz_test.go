@@ -262,7 +262,12 @@ func TestCampaignCrashInputsNotQueued(t *testing.T) {
 func TestCampaignRunFor(t *testing.T) {
 	cov := make([]byte, MapSize)
 	ex := &scriptedExecutor{cov: cov, crashOn: 0xff}
-	c := NewCampaign(Config{Executor: ex, CovMap: cov, Seeds: [][]byte{{1}}, Seed: 2})
+	c, err := NewParallelCampaign(ParallelConfig{
+		Shards: []ShardConfig{{Executor: ex, CovMap: cov}}, Seeds: [][]byte{{1}}, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.RunFor(30 * 1e6) // 30ms
 	if c.Execs() == 0 {
 		t.Fatal("RunFor executed nothing")

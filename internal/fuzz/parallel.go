@@ -31,29 +31,6 @@ import (
 	"closurex/internal/faultinject"
 )
 
-// Driver is the campaign interface shared by the sequential Campaign and
-// the ParallelCampaign, so instance plumbing and CLIs can hold either.
-type Driver interface {
-	RunFor(d time.Duration)
-	RunExecs(n int64)
-	Execs() int64
-	Edges() int
-	BitmapSnapshot() []byte
-	Queue() []*Entry
-	QueueLen() int
-	Crashes() []*Crash
-	Hangs() []*Crash
-	Divergences() []Divergence
-	Quarantined() []*Entry
-	Elapsed() time.Duration
-	Checkpoint() ([]byte, error)
-}
-
-var (
-	_ Driver = (*Campaign)(nil)
-	_ Driver = (*ParallelCampaign)(nil)
-)
-
 // splitGamma is the splitmix64 stream increment, the same constant NewRNG
 // scrambles with; ShardSeed uses it to derive well-separated per-shard
 // streams from one trial seed.
@@ -271,24 +248,7 @@ func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 		seen:     make(map[string]struct{}),
 	}
 	for j, sc := range cfg.Shards {
-		var sent *SentinelConfig
-		if j == 0 {
-			sent = cfg.Sentinel
-		}
-		c := NewCampaign(Config{
-			Executor:     sc.Executor,
-			CovMap:       sc.CovMap,
-			Seeds:        cfg.Seeds,
-			Seed:         ShardSeed(cfg.Seed, j),
-			Fingerprint:  cfg.Fingerprint,
-			MaxInputLen:  cfg.MaxInputLen,
-			HavocPerSeed: cfg.HavocPerSeed,
-			SpliceProb:   cfg.SpliceProb,
-			Dict:         cfg.Dict,
-			Stop:         cfg.Stop,
-			CheckEvery:   cfg.CheckEvery,
-			Sentinel:     sent,
-		})
+		c := NewCampaign(cfg.shardConfig(j))
 		p.shards = append(p.shards, &shard{id: j, c: c, rebuild: sc.Rebuild, have: make(map[string]struct{})})
 	}
 	// Every shard bootstraps the same seed corpus itself; pre-seeding the
@@ -299,6 +259,30 @@ func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 	}
 	p.seen[string([]byte{0})] = struct{}{} // the empty-corpus fallback entry
 	return p, nil
+}
+
+// shardConfig is the sequential campaign configuration shard j runs with:
+// its executor and coverage buffer (none past len(Shards)), its split RNG
+// seed, and the sentinel when j is the designated shard 0.
+func (cfg *ParallelConfig) shardConfig(j int) Config {
+	c := Config{
+		Seeds:        cfg.Seeds,
+		Seed:         ShardSeed(cfg.Seed, j),
+		Fingerprint:  cfg.Fingerprint,
+		MaxInputLen:  cfg.MaxInputLen,
+		HavocPerSeed: cfg.HavocPerSeed,
+		SpliceProb:   cfg.SpliceProb,
+		Dict:         cfg.Dict,
+		Stop:         cfg.Stop,
+		CheckEvery:   cfg.CheckEvery,
+	}
+	if j < len(cfg.Shards) {
+		c.Executor, c.CovMap = cfg.Shards[j].Executor, cfg.Shards[j].CovMap
+	}
+	if j == 0 {
+		c.Sentinel = cfg.Sentinel
+	}
+	return c
 }
 
 // Jobs returns the number of shards.
@@ -532,8 +516,8 @@ func (p *ParallelCampaign) othersExecs(sh *shard) int64 {
 }
 
 // RunFor drives every shard until d has elapsed or the stop channel
-// closes. Shards poll deadline/stop every CheckEvery steps, exactly like
-// the sequential RunFor.
+// closes. Shards poll deadline/stop every CheckEvery steps, keeping
+// time.Now() and channel polling out of the per-iteration hot path.
 func (p *ParallelCampaign) RunFor(d time.Duration) {
 	deadline := time.Now().Add(d)
 	p.run(func(sh *shard, pub chan<- corpusMsg) {
@@ -676,36 +660,23 @@ func (p *ParallelCampaign) Elapsed() time.Duration {
 	return p.elapsed
 }
 
-// parallelCheckpointVersion guards the parallel checkpoint envelope format.
-// v2 added the merged campaign view (corpus, bitmap, counters, crash
-// tables) alongside the per-shard blobs, which is what makes resume
-// elastic: the per-shard blobs serve the exact same-topology path, the
-// merged view serves re-sharding onto any J.
-const parallelCheckpointVersion = 2
+// parallelCheckpointVersion guards the checkpoint envelope format. v3
+// dropped v2's merged campaign view: each shard's state is stored once, in
+// its shard record, and elastic resume derives the merged view from the
+// records.
+const parallelCheckpointVersion = 3
 
-// parallelState is the gob envelope. The Shards blobs carry each shard's
-// full sequential checkpoint (bit-identical same-J resume); the merged
-// fields carry the topology-independent campaign state (elastic resume).
+// parallelState is the gob envelope: the trial identity, the fleet's
+// wall-clock time, and one shard record (Campaign.checkpoint) per shard in
+// shard order. The shard order is part of the format: elastic re-sharding
+// derives shard assignment from the canonical shard-major corpus order.
 type parallelState struct {
 	Version     int
 	Jobs        int
 	Seed        uint64
 	Fingerprint string
-	Shards      [][]byte
-
-	// Merged, topology-independent view. Corpus is the deduplicated
-	// cross-shard queue in canonical shard-major order — the order is part
-	// of the format, because elastic re-sharding derives shard assignment
-	// from corpus position.
-	Corpus      []entryState
-	Virgin      []byte
-	Edges       int
-	Execs       int64
 	Elapsed     time.Duration
-	Crashes     []Crash
-	Hangs       []Crash
-	Divergences []Divergence
-	Quarantined []entryState
+	Shards      [][]byte
 }
 
 // Checkpoint serializes the whole fleet. Requires quiescence.
@@ -715,30 +686,14 @@ func (p *ParallelCampaign) Checkpoint() ([]byte, error) {
 		Jobs:        len(p.shards),
 		Seed:        p.cfg.Seed,
 		Fingerprint: p.cfg.Fingerprint,
-		Virgin:      p.global.Snapshot(),
-		Edges:       p.global.Edges(),
-		Execs:       p.Execs(),
 		Elapsed:     p.Elapsed(),
-		Divergences: p.Divergences(),
 	}
 	for _, sh := range p.shards {
-		blob, err := sh.c.Checkpoint()
+		blob, err := sh.c.checkpoint()
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: checkpoint shard %d: %w", sh.id, err)
 		}
 		st.Shards = append(st.Shards, blob)
-	}
-	for _, e := range p.Queue() {
-		st.Corpus = append(st.Corpus, entryState{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
-	}
-	for _, e := range p.Quarantined() {
-		st.Quarantined = append(st.Quarantined, entryState{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
-	}
-	for _, cr := range p.Crashes() {
-		st.Crashes = append(st.Crashes, *cr)
-	}
-	for _, h := range p.Hangs() {
-		st.Hangs = append(st.Hangs, *h)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
@@ -748,15 +703,14 @@ func (p *ParallelCampaign) Checkpoint() ([]byte, error) {
 }
 
 // ResumeParallel reconstructs a fleet from a Checkpoint blob. cfg must
-// describe the same trial (seed, fingerprint) but not the same topology:
-// with len(cfg.Shards) equal to the checkpoint's J the per-shard blobs
-// resume each shard bit-identically, and with any other J the merged
-// campaign state is re-sharded deterministically (corpus entry i lands on
-// shard i mod J′, every shard's bitmap starts from the merged virgin map,
-// the aggregate counters and crash tables land on shard 0). An elastic
-// resume preserves corpus contents, coverage, and totals exactly; only the
-// forward mutation streams differ from the uninterrupted run, which is
-// inherent to changing J.
+// describe the same trial (seed, fingerprint) but not the same topology.
+// Every shard record is decoded and validated first, whatever the new
+// topology. With len(cfg.Shards) equal to the checkpoint's J each shard
+// resumes from its own record bit-identically; with any other J the
+// records' merged state is re-sharded deterministically (see reshard). An
+// elastic resume preserves corpus contents, coverage, and totals exactly;
+// only the forward mutation streams differ from the uninterrupted run,
+// which is inherent to changing J.
 func ResumeParallel(cfg ParallelConfig, data []byte) (*ParallelCampaign, error) {
 	var st parallelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -765,8 +719,8 @@ func ResumeParallel(cfg ParallelConfig, data []byte) (*ParallelCampaign, error) 
 	if st.Version != parallelCheckpointVersion {
 		return nil, fmt.Errorf("%w: parallel version %d, want %d", ErrBadCheckpoint, st.Version, parallelCheckpointVersion)
 	}
-	if st.Jobs != len(st.Shards) {
-		return nil, fmt.Errorf("%w: envelope says %d shards but carries %d blobs", ErrBadCheckpoint, st.Jobs, len(st.Shards))
+	if st.Jobs < 1 || st.Jobs != len(st.Shards) {
+		return nil, fmt.Errorf("%w: envelope says %d shards but carries %d records", ErrBadCheckpoint, st.Jobs, len(st.Shards))
 	}
 	if st.Seed != cfg.Seed {
 		return nil, fmt.Errorf("%w: taken with seed %d, config says %d", ErrBadCheckpoint, st.Seed, cfg.Seed)
@@ -775,40 +729,30 @@ func ResumeParallel(cfg ParallelConfig, data []byte) (*ParallelCampaign, error) 
 		return nil, fmt.Errorf("%w: taken for %q, config says %q (resume needs the same target and mechanism)",
 			ErrBadCheckpoint, st.Fingerprint, cfg.Fingerprint)
 	}
-	if st.Jobs == len(cfg.Shards) {
-		return resumeParallelExact(cfg, &st)
+	// saved is the checkpointed fleet rebuilt from its records. Its shards
+	// never run; the exact path adopts their campaigns, and the elastic
+	// path reads its merged views (Queue, Crashes, ...) from it.
+	saved := &ParallelCampaign{}
+	for j, blob := range st.Shards {
+		c, err := resume(cfg.shardConfig(j), blob)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", j, err)
+		}
+		saved.shards = append(saved.shards, &shard{id: j, c: c})
 	}
-	return resumeParallelElastic(cfg, &st)
-}
-
-// resumeParallelExact is the same-topology path: every shard resumes from
-// its own full checkpoint, so continuing the campaign replays the exact
-// mutation streams the uninterrupted run would have produced.
-func resumeParallelExact(cfg ParallelConfig, st *parallelState) (*ParallelCampaign, error) {
 	p, err := NewParallelCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for j, blob := range st.Shards {
-		c, err := Resume(Config{
-			Executor:     cfg.Shards[j].Executor,
-			CovMap:       cfg.Shards[j].CovMap,
-			Seeds:        cfg.Seeds,
-			Seed:         ShardSeed(cfg.Seed, j),
-			Fingerprint:  cfg.Fingerprint,
-			MaxInputLen:  cfg.MaxInputLen,
-			HavocPerSeed: cfg.HavocPerSeed,
-			SpliceProb:   cfg.SpliceProb,
-			Dict:         cfg.Dict,
-			Stop:         cfg.Stop,
-			CheckEvery:   cfg.CheckEvery,
-			Sentinel:     p.shards[j].c.cfg.Sentinel,
-		}, blob)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", j, err)
+	if st.Jobs == len(p.shards) {
+		for j, sh := range p.shards {
+			sh.c = saved.shards[j].c
 		}
-		sh := p.shards[j]
-		sh.c = c
+	} else {
+		p.reshard(saved, st.Elapsed)
+	}
+	for j, sh := range p.shards {
+		c := sh.c
 		// Everything in a resumed queue is old news: mark it published so
 		// it is not rebroadcast, and rebuild the content set and the
 		// manager's dedup state from it.
@@ -823,26 +767,26 @@ func resumeParallelExact(cfg ParallelConfig, st *parallelState) (*ParallelCampai
 		atomic.StoreInt64(&p.counters[j].execs, c.execs)
 		atomic.StoreInt64(&p.counters[j].crashes, int64(len(c.crashes)))
 		atomic.StoreInt64(&p.counters[j].hangs, int64(len(c.hangs)))
-		p.elapsed = maxDuration(p.elapsed, c.Elapsed())
 	}
+	p.elapsed = st.Elapsed
 	return p, nil
 }
 
-// resumeParallelElastic re-shards the merged campaign state onto a new J.
-// The assignment is deterministic (corpus position mod J′), so resuming the
-// same checkpoint at the same new J always yields the same fleet.
-func resumeParallelElastic(cfg ParallelConfig, st *parallelState) (*ParallelCampaign, error) {
-	if len(st.Corpus) == 0 {
-		return nil, fmt.Errorf("%w: elastic resume needs the merged corpus (empty envelope)", ErrBadCheckpoint)
+// reshard spreads the checkpointed fleet's merged state over p's fresh
+// shards. The assignment is deterministic — entry i of the merged corpus
+// lands on shard i mod J′ — so resuming the same checkpoint at the same
+// new J always yields the same fleet. Every shard's bitmap starts from the
+// OR of the records' virgin maps and its campaign clock from elapsed. The
+// summed exec count, the merged crash and hang tables and the sentinel's
+// findings land on shard 0, so totals survive even though their per-shard
+// attribution is gone.
+func (p *ParallelCampaign) reshard(saved *ParallelCampaign, elapsed time.Duration) {
+	merged := NewGlobalBitmap()
+	for _, sh := range saved.shards {
+		merged.Merge(sh.c.bitmap.virgin[:])
 	}
-	p, err := NewParallelCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	corpus := make([]*Entry, len(st.Corpus))
-	for i, e := range st.Corpus {
-		corpus[i] = &Entry{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain}
-	}
+	virgin := merged.Snapshot()
+	corpus := saved.Queue()
 	for j, sh := range p.shards {
 		c := sh.c
 		for i := j; i < len(corpus); i += len(p.shards) {
@@ -854,52 +798,24 @@ func resumeParallelElastic(cfg ParallelConfig, st *parallelState) (*ParallelCamp
 			// unaffected).
 			c.queue = append(c.queue, corpus[j%len(corpus)])
 		}
-		if err := c.bitmap.SetSnapshot(st.Virgin); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
-		}
+		copy(c.bitmap.virgin[:], virgin)
+		c.bitmap.edges = merged.Edges()
 		// Seeds already ran in the original campaign; bootstrap must not
 		// run again (it would re-execute them and distort the counters).
 		c.started = true
 		c.start = time.Now()
-		sh.published = len(c.queue)
-		for _, e := range c.queue {
-			k := string(e.Input)
-			sh.have[k] = struct{}{}
-			p.seen[k] = struct{}{}
-		}
-		p.global.Merge(c.bitmap.virgin[:])
+		c.elapsed = elapsed
 	}
-	if got := p.global.Edges(); got != st.Edges {
-		return nil, fmt.Errorf("%w: edge count %d does not match bitmap (%d)", ErrBadCheckpoint, st.Edges, got)
-	}
-	// The aggregate view lands on shard 0: totals and tables survive the
-	// re-shard even though their per-shard attribution is gone.
 	c0 := p.shards[0].c
-	c0.execs = st.Execs
-	c0.elapsed = st.Elapsed
-	c0.divergences = st.Divergences
-	for i := range st.Crashes {
-		cr := st.Crashes[i]
-		c0.crashes[cr.Key] = &cr
+	for _, sh := range saved.shards {
+		c0.execs += sh.c.execs
 	}
-	for i := range st.Hangs {
-		h := st.Hangs[i]
-		c0.hangs[h.Key] = &h
+	c0.divergences = saved.Divergences()
+	c0.quarantined = saved.Quarantined()
+	for _, cr := range saved.Crashes() {
+		c0.crashes[cr.Key] = cr
 	}
-	for _, e := range st.Quarantined {
-		c0.quarantined = append(c0.quarantined, &Entry{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
+	for _, h := range saved.Hangs() {
+		c0.hangs[h.Key] = h
 	}
-	p.shards[0].lastSync = c0.execs
-	atomic.StoreInt64(&p.counters[0].execs, c0.execs)
-	atomic.StoreInt64(&p.counters[0].crashes, int64(len(c0.crashes)))
-	atomic.StoreInt64(&p.counters[0].hangs, int64(len(c0.hangs)))
-	p.elapsed = st.Elapsed
-	return p, nil
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

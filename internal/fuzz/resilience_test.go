@@ -77,10 +77,16 @@ func TestStopChannelHaltsRuns(t *testing.T) {
 	close(stop)
 	cov := make([]byte, MapSize)
 	ex := &resilienceExecutor{cov: cov}
-	c := NewCampaign(Config{Executor: ex, CovMap: cov, Seeds: [][]byte{{'a'}}, Seed: 1, Stop: stop})
+	p, err := NewParallelCampaign(ParallelConfig{
+		Shards: []ShardConfig{{Executor: ex, CovMap: cov}}, Seeds: [][]byte{{'a'}}, Seed: 1, Stop: stop,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Shard(0)
 
 	start := time.Now()
-	c.RunFor(time.Hour)
+	p.RunFor(time.Hour)
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("RunFor ignored the stop channel")
 	}
@@ -101,8 +107,9 @@ func TestStopChannelHaltsRuns(t *testing.T) {
 }
 
 // The deterministic-resume acceptance test: a campaign checkpointed midway
-// and resumed into a fresh Campaign must land on exactly the state of an
-// uninterrupted run — queue, bitmap, crash and hang tables, RNG.
+// as a shard record and resumed into a fresh Campaign must land on exactly
+// the state of an uninterrupted run — queue, bitmap, crash and hang tables,
+// RNG.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	seeds := [][]byte{{'a', 'b'}, {'H'}, {0xee}}
 	const mid, final = 4000, 11000
@@ -112,13 +119,13 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	b, _ := newResilienceCampaign(seeds, 77)
 	b.RunExecs(mid)
-	ckpt, err := b.Checkpoint()
+	ckpt, err := b.checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The original process dies here; a new one resumes from the bytes.
 	cov2 := make([]byte, MapSize)
-	resumed, err := Resume(Config{
+	resumed, err := resume(Config{
 		Executor: &resilienceExecutor{cov: cov2},
 		CovMap:   cov2,
 		Seeds:    seeds,
@@ -173,7 +180,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 func TestCheckpointBeforeBootstrapFails(t *testing.T) {
 	c, _ := newResilienceCampaign([][]byte{{'a'}}, 1)
-	if _, err := c.Checkpoint(); err == nil {
+	if _, err := c.checkpoint(); err == nil {
 		t.Fatal("checkpoint of an unstarted campaign accepted")
 	}
 }
@@ -181,30 +188,30 @@ func TestCheckpointBeforeBootstrapFails(t *testing.T) {
 func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	c, ex := newResilienceCampaign([][]byte{{'a'}}, 5)
 	c.RunExecs(100)
-	good, err := c.Checkpoint()
+	good, err := c.checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Executor: ex, CovMap: ex.cov, Seed: 5}
 
-	if _, err := Resume(cfg, []byte("not a checkpoint")); err == nil {
+	if _, err := resume(cfg, []byte("not a checkpoint")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	wrongSeed := cfg
 	wrongSeed.Seed = 6
-	if _, err := Resume(wrongSeed, good); err == nil {
+	if _, err := resume(wrongSeed, good); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
 	wrongTarget := cfg
 	wrongTarget.Fingerprint = "other-target@closurex"
-	if _, err := Resume(wrongTarget, good); err == nil {
+	if _, err := resume(wrongTarget, good); err == nil {
 		t.Fatal("fingerprint mismatch accepted (bitmap grafted onto the wrong target)")
 	}
 	var stale bytes.Buffer
 	if err := gob.NewEncoder(&stale).Encode(&checkpointState{Version: checkpointVersion + 1, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, stale.Bytes()); err == nil {
+	if _, err := resume(cfg, stale.Bytes()); err == nil {
 		t.Fatal("future version accepted")
 	}
 }

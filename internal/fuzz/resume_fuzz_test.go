@@ -5,33 +5,37 @@ import (
 	"testing"
 )
 
-// FuzzResume feeds arbitrary bytes to Resume and to ResumeParallel at one
-// and two shards. A checkpoint is untrusted input: every rejection must
-// wrap ErrBadCheckpoint, nothing may panic, and a blob that is accepted
-// must leave a campaign that keeps stepping.
+// FuzzResume feeds arbitrary bytes to the shard-record decoder (resume) and
+// to ResumeParallel at one and two shards. A checkpoint is untrusted input:
+// every rejection must wrap ErrBadCheckpoint, nothing may panic, and a blob
+// that is accepted must leave a campaign that keeps stepping. The seeds are
+// a shard record, a two-shard envelope and a one-shard envelope (the shape
+// every Jobs=1 instance writes).
 func FuzzResume(f *testing.F) {
 	seq, _ := newResilienceCampaign([][]byte{{'a'}, {'H', 1}, {0xee}}, 5)
 	seq.RunExecs(200)
-	blob, err := seq.Checkpoint()
+	blob, err := seq.checkpoint()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	fleet, err := NewParallelCampaign(fuzzFleetConfig(2))
-	if err != nil {
-		f.Fatal(err)
+	for _, jobs := range []int{2, 1} {
+		fleet, err := NewParallelCampaign(fuzzFleetConfig(jobs))
+		if err != nil {
+			f.Fatal(err)
+		}
+		fleet.RunExecs(500)
+		if blob, err = fleet.Checkpoint(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
 	}
-	fleet.RunExecs(500)
-	if blob, err = fleet.Checkpoint(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob)
 
 	const steps = 64
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cov := make([]byte, MapSize)
-		c, err := Resume(Config{Executor: &resilienceExecutor{cov: cov}, CovMap: cov, Seed: 5}, data)
-		checkRejection(t, "Resume", err)
+		c, err := resume(Config{Executor: &resilienceExecutor{cov: cov}, CovMap: cov, Seed: 5}, data)
+		checkRejection(t, "resume", err)
 		if err == nil {
 			for i := 0; i < steps; i++ {
 				c.Step()

@@ -1,7 +1,14 @@
 package closurex
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"sort"
 	"testing"
+	"time"
+
+	"closurex/internal/fuzz"
 )
 
 // Facade-level resilience coverage: checkpoint/resume round-trips through
@@ -73,6 +80,132 @@ func TestResumeRejectsMismatchedSeed(t *testing.T) {
 	}
 	if _, err := NewFuzzer(demoSource, [][]byte{[]byte("ab")}, Options{Seed: 2, ResumeFrom: ckpt}); err == nil {
 		t.Fatal("resume with a different seed accepted")
+	}
+}
+
+// Every fuzzer runs through the shard fleet, so a Jobs=1 fuzzer reports
+// its one shard's health.
+func TestShardHealthAtJobsOne(t *testing.T) {
+	f, err := NewFuzzer(demoSource, [][]byte{[]byte("ab")}, Options{Seed: 1, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.RunExecs(500)
+	h := f.ShardHealth()
+	if len(h) != 1 {
+		t.Fatalf("ShardHealth at Jobs=1 has %d entries, want 1", len(h))
+	}
+	if h[0].Execs < 500 || h[0].Quarantined || f.HealthyShards() != 1 {
+		t.Fatalf("shard 0 health = %+v, healthy shards = %d", h[0], f.HealthyShards())
+	}
+}
+
+// A checkpoint resumes at any Jobs: the corpus, coverage and exec count
+// survive a Jobs=1 -> 2 and a Jobs=2 -> 1 resume, and the resumed fuzzer
+// keeps fuzzing.
+func TestCheckpointResumesAcrossJobs(t *testing.T) {
+	seeds := [][]byte{[]byte("B?"), []byte("ab")}
+	for _, tc := range []struct{ from, to int }{{1, 2}, {2, 1}} {
+		opts := Options{Seed: 7, DeterministicRand: true, Jobs: tc.from}
+		src, err := NewFuzzer(demoSource, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.RunExecs(3000)
+		ckpt, err := src.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantCorpus := src.Stats(), sortedCorpus(src)
+		src.Close()
+
+		opts.Jobs, opts.ResumeFrom = tc.to, ckpt
+		res, err := NewFuzzer(demoSource, seeds, opts)
+		if err != nil {
+			t.Fatalf("Jobs=%d checkpoint rejected at Jobs=%d: %v", tc.from, tc.to, err)
+		}
+		got := res.Stats()
+		if got.Execs != want.Execs || got.Edges != want.Edges || len(got.Crashes) != len(want.Crashes) {
+			t.Fatalf("Jobs=%d -> %d lost progress: execs %d/%d edges %d/%d crashes %d/%d", tc.from, tc.to,
+				want.Execs, got.Execs, want.Edges, got.Edges, len(want.Crashes), len(got.Crashes))
+		}
+		gotCorpus := sortedCorpus(res)
+		if len(gotCorpus) != len(wantCorpus) {
+			t.Fatalf("Jobs=%d -> %d: corpus %d entries, want %d", tc.from, tc.to, len(gotCorpus), len(wantCorpus))
+		}
+		for i := range wantCorpus {
+			if !bytes.Equal(gotCorpus[i], wantCorpus[i]) {
+				t.Fatalf("Jobs=%d -> %d: corpus entry %q lost", tc.from, tc.to, wantCorpus[i])
+			}
+		}
+		res.RunExecs(want.Execs + 500)
+		if res.Stats().Execs < want.Execs+500 {
+			t.Fatalf("Jobs=%d -> %d: resumed fuzzer did not continue", tc.from, tc.to)
+		}
+		res.Close()
+	}
+}
+
+func sortedCorpus(f *Fuzzer) [][]byte {
+	c := f.Corpus()
+	sort.Slice(c, func(i, j int) bool { return bytes.Compare(c[i], c[j]) < 0 })
+	return c
+}
+
+// Checkpoints in the older formats are rejected with ErrBadCheckpoint: a
+// sequential-campaign blob (the v1 layout, which is exactly one shard
+// record) and a v2 envelope that carried a merged view beside the records.
+func TestResumeRejectsOldCheckpointFormats(t *testing.T) {
+	seeds := [][]byte{[]byte("ab")}
+	f, err := NewFuzzer(demoSource, seeds, Options{Seed: 3, DeterministicRand: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RunExecs(500)
+	ckpt, err := f.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := f.Stats()
+	corpus := f.Corpus()
+	f.Close()
+	var env struct {
+		Version     int
+		Jobs        int
+		Seed        uint64
+		Fingerprint string
+		Elapsed     time.Duration
+		Shards      [][]byte
+	}
+	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	type entry struct{ Input []byte }
+	v2 := struct {
+		Version     int
+		Jobs        int
+		Seed        uint64
+		Fingerprint string
+		Shards      [][]byte
+		Corpus      []entry
+		Virgin      []byte
+		Edges       int
+		Execs       int64
+		Elapsed     time.Duration
+	}{2, 1, env.Seed, env.Fingerprint, env.Shards, nil, make([]byte, fuzz.MapSize), st.Edges, st.Execs, env.Elapsed}
+	for _, in := range corpus {
+		v2.Corpus = append(v2.Corpus, entry{in})
+	}
+	var v2Blob bytes.Buffer
+	if err := gob.NewEncoder(&v2Blob).Encode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"v1 sequential": env.Shards[0], "v2 envelope": v2Blob.Bytes()} {
+		_, err := NewFuzzer(demoSource, seeds, Options{Seed: 3, ResumeFrom: blob})
+		if !errors.Is(err, fuzz.ErrBadCheckpoint) {
+			t.Fatalf("%s checkpoint: got %v, want ErrBadCheckpoint", name, err)
+		}
 	}
 }
 

@@ -128,9 +128,10 @@ func TestSanitizeDifferentialCleanTarget(t *testing.T) {
 	}
 }
 
-// TestSanitizeParallelJ1Determinism replays the PR-3 guarantee with the
-// sanitizer armed: a Jobs=1 parallel campaign is bit-identical to the
-// sequential campaign.
+// TestSanitizeParallelJ1Determinism checks, with the sanitizer armed, that
+// Jobs=0 clamps to the same one-shard campaign as Jobs=1, bit for bit. The
+// one-shard fleet's identity with the plain fuzz.Campaign loop is
+// TestParallelOneShardBitIdentical.
 func TestSanitizeParallelJ1Determinism(t *testing.T) {
 	const execs = 1500
 	run := func(jobs int) (int, [][]byte, []string) {
