@@ -17,8 +17,13 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a formatting gate: any tracked Go file gofmt would rewrite
+# fails the target. Tracked files only, so the module cache a benchmark
+# build leaves under .bench_build/ is never scanned.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Race-detector gate, scoped to the concurrency-bearing packages (the
 # parallel campaign fleet, harness, VM, memory): the rest of the suite is

@@ -94,11 +94,6 @@ type Options struct {
 	// call-site constant clusters — and merges them after Dict,
 	// deduplicated and capped. Off, the dictionary is exactly Dict.
 	AutoDict bool
-	// Resilient wraps the closurex mechanism in the campaign resilience
-	// ladder: a restore watchdog that validates post-iteration invariants,
-	// quarantine + image rebuild on violation, and graceful degradation to
-	// the forkserver after bounded retries.
-	Resilient bool
 	// SentinelEvery arms the divergence sentinel: every N executions one
 	// queue entry is replayed in a fresh process image and cross-checked
 	// against the persistent mechanism (edge set + fault verdict). 0
@@ -204,10 +199,11 @@ type Stats struct {
 	// Divergences counts sentinel probes whose persistent replay
 	// disagreed with the fresh-process reference.
 	Divergences int
-	// Quarantined counts inputs pulled out of rotation by the sentinel or
-	// the restore watchdog.
+	// Quarantined counts inputs pulled out of rotation on any shard: queue
+	// entries the sentinel found divergent and inputs whose execution left
+	// a restore error.
 	Quarantined int
-	// Degraded reports that the resilience ladder fell back from the
+	// Degraded reports that a shard's recovery ladder fell back from the
 	// persistent mechanism to the forkserver.
 	Degraded bool
 }
@@ -289,10 +285,6 @@ func instanceOptions(opts Options) core.InstanceOptions {
 			io.Sanitize = core.SanitizeNoElide
 		}
 	}
-	if opts.Resilient {
-		rc := execmgr.DefaultResilienceConfig()
-		io.Resilience = &rc
-	}
 	if opts.SentinelEvery > 0 || opts.ResumeFrom != nil {
 		// Probe replays and resumed runs must reproduce executions
 		// exactly; per-process entropy would read as divergence/drift.
@@ -308,7 +300,7 @@ func NewBenchmarkFuzzer(benchmark, mechanism string, trialSeed uint64) (*Fuzzer,
 }
 
 // NewBenchmarkFuzzerOptions is NewBenchmarkFuzzer with the full option
-// surface (resilience ladder, sentinel, checkpoint resume, stop channel).
+// surface (shard supervision, sentinel, checkpoint resume, stop channel).
 func NewBenchmarkFuzzerOptions(benchmark, mechanism string, opts Options) (*Fuzzer, error) {
 	t := targets.Get(benchmark)
 	if t == nil {
@@ -371,11 +363,8 @@ func (f *Fuzzer) Stats() Stats {
 	}
 	st.Divergences = len(c.Divergences())
 	st.Quarantined = len(c.Quarantined())
-	for _, m := range f.inst.Mechs {
-		if r, ok := m.(*execmgr.Resilient); ok {
-			st.Quarantined += len(r.Quarantined())
-			st.Degraded = st.Degraded || r.Degraded()
-		}
+	for _, h := range c.Health() {
+		st.Degraded = st.Degraded || h.MechDegraded
 	}
 	return st
 }

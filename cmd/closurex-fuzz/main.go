@@ -50,7 +50,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "campaign RNG seed")
 		status     = flag.Duration("status", 2*time.Second, "status interval")
 		jobs       = flag.Int("jobs", 1, "parallel campaign shards (each with its own process image)")
-		maxShardRs = flag.Int("max-shard-restarts", 0, "consecutive supervised restarts per shard before mechanism rebuild (0 = default 3)")
+		maxShardRs = flag.Int("max-shard-restarts", 0, "faults a shard absorbs with restarts/rebuilds before forced rebuild, forkserver fallback, then quarantine (0 = default 3)")
 		shardBack  = flag.Duration("shard-backoff", 0, "base shard-restart cooldown, doubling per consecutive fault (0 = default 2ms)")
 		statsJSON  = flag.String("stats-json", "", "append per-shard health snapshots to this JSON-lines file at every status interval")
 	)
@@ -64,7 +64,6 @@ func main() {
 		lint      = flag.Bool("lint", false, "run the static restore-completeness lints and refuse to fuzz a module that fails them")
 		sanitize  = flag.Bool("sanitize", false, "arm the heap sanitizer (shadow memory, redzones, free quarantine; statically elides provably safe checks)")
 		noElide   = flag.Bool("sanitize-no-elide", false, "with -sanitize: keep every check, disabling the static elision analysis (benchmark configuration)")
-		resilient = flag.Bool("resilient", false, "arm the restore watchdog + rebuild/fallback ladder")
 		interproc = flag.Bool("interproc", false, "arm interprocedural restore elision: snapshot/restore/watch only the analysis-proven may-written global ranges")
 		autoDict  = flag.Bool("auto-dict", false, "merge the statically harvested auto-dictionary (input-dataflow compare constants) into the mutation dictionary")
 		auditRest = flag.Bool("audit-restore", false, "periodically re-check the full closure section at runtime to validate elision soundness")
@@ -106,7 +105,6 @@ func main() {
 		Seed:                 *seed,
 		Sanitize:             *sanitize,
 		SanitizeNoElide:      *noElide,
-		Resilient:            *resilient,
 		Interproc:            *interproc,
 		AuditRestore:         *auditRest,
 		AutoDict:             *autoDict,

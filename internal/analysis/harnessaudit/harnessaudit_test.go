@@ -209,7 +209,7 @@ func TestCardsJSONByteStable(t *testing.T) {
 }
 
 // Harvest must surface the fixture's compare constants so the mutator can
-// stamp them: 'M''Z' byte compares yield no multi-byte token here, but the
+// stamp them: 'M' 'Z' byte compares yield no multi-byte token here, but the
 // gpmf-style fourcc fixture below must yield its magic.
 const fourccSrc = `
 int rd_be32(char *p) {

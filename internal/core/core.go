@@ -304,9 +304,6 @@ type InstanceOptions struct {
 	// ImagePagesOverride overrides the target's Table 4 image size; < 0
 	// means "no image" (unit tests), 0 means "use the target's".
 	ImagePagesOverride int
-	// Resilience wraps a "closurex" mechanism in the watchdog/rebuild/
-	// fallback ladder (execmgr.Resilient). Nil leaves the bare mechanism.
-	Resilience *execmgr.ResilienceConfig
 	// SentinelEvery arms the divergence sentinel every N campaign
 	// executions: replays under a fresh reference image are cross-checked
 	// against the campaign mechanism. 0 disables.
@@ -356,9 +353,11 @@ type InstanceOptions struct {
 	// Off, the dictionary path is untouched — campaigns are bit-identical
 	// to builds that predate the wiring.
 	AutoDict bool
-	// MaxShardRestarts bounds consecutive supervised restarts per shard
-	// before the supervisor escalates to a mechanism rebuild (0 uses the
-	// fuzz.SupervisorConfig default of 3).
+	// MaxShardRestarts is M in the shard recovery ladder: consecutive
+	// faults a shard absorbs with restarts or rebuilds before the
+	// supervisor escalates to a forced rebuild, the forkserver fallback
+	// (closurex shards) and quarantine (0 uses the fuzz.SupervisorConfig
+	// default of 3).
 	MaxShardRestarts int
 	// ShardBackoff is the base cooldown before a shard restart, doubling
 	// per consecutive fault (0 uses the default).
@@ -458,7 +457,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	// uses non-atomic copy-on-write bookkeeping, so process images must
 	// never be shared across shard goroutines. randSeed varies per shard
 	// (ShardSeed) so heap ASLR and target rand() streams are independent.
-	newMech := func(cov []byte, randSeed uint64) (execmgr.Mechanism, error) {
+	newMech := func(name string, cov []byte, randSeed uint64) (execmgr.Mechanism, error) {
 		mcfg := execmgr.Config{
 			Module:            mod,
 			CovMap:            cov,
@@ -473,10 +472,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 			Sanitize:          opts.Sanitize.Enabled(),
 			Backend:           opts.Backend,
 		}
-		if opts.Resilience != nil && mechanism == "closurex" {
-			return execmgr.NewResilient(mcfg, *opts.Resilience)
-		}
-		return execmgr.New(mechanism, mcfg)
+		return execmgr.New(name, mcfg)
 	}
 	var dict [][]byte
 	for _, tok := range t.Dict {
@@ -493,26 +489,22 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	var shards []fuzz.ShardConfig
 	for j := 0; j < jobs; j++ {
 		cov := make([]byte, fuzz.MapSize)
-		mech, err := newMech(cov, fuzz.ShardSeed(opts.TrialSeed, j))
+		mech, err := newMech(mechanism, cov, fuzz.ShardSeed(opts.TrialSeed, j))
 		if err != nil {
 			in.Close()
 			return nil, fmt.Errorf("core: shard %d: %w", j, err)
 		}
 		in.Mechs = append(in.Mechs, mech)
-		sc := fuzz.ShardConfig{Executor: mech, CovMap: cov}
-		// The supervisor's escalation rebuild: a brand-new mechanism (fresh
-		// VM + harness) over the same module, swapped into the instance's
-		// mechanism table (and Mech/CovMap for shard 0) so Close releases
-		// the replacement, not the corpse, and TryOne runs on a live image.
-		// Shard 0 skips this when the sentinel is armed — the sentinel's
-		// controller is wired to the original mechanism, and a swap would
-		// leave it probing a closed image (the mechanism-level rebuild
-		// ladder still covers that shard).
-		if j > 0 || opts.SentinelEvery <= 0 {
-			j := j
-			sc.Rebuild = func() (fuzz.Executor, []byte, error) {
+		// replacement builds the supervisor's rebuild (name == mechanism:
+		// fresh VM + harness) or fallback mechanism over the same module and
+		// swaps it into the instance's mechanism table (and Mech/CovMap for
+		// shard 0), so Close releases the replacement, not the corpse, and
+		// TryOne runs on a live image. The sentinel probes the shard's
+		// current executor, so it follows the swap.
+		replacement := func(name string) func() (fuzz.Executor, []byte, error) {
+			return func() (fuzz.Executor, []byte, error) {
 				ncov := make([]byte, fuzz.MapSize)
-				nm, rerr := newMech(ncov, fuzz.ShardSeed(opts.TrialSeed, j))
+				nm, rerr := newMech(name, ncov, fuzz.ShardSeed(opts.TrialSeed, j))
 				if rerr != nil {
 					return nil, nil, rerr
 				}
@@ -526,6 +518,10 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 				old.Close()
 				return nm, ncov, nil
 			}
+		}
+		sc := fuzz.ShardConfig{Executor: mech, CovMap: cov, Rebuild: replacement(mechanism)}
+		if mechanism == "closurex" {
+			sc.Fallback = replacement("forkserver")
 		}
 		shards = append(shards, sc)
 	}
@@ -574,9 +570,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 			return nil, fmt.Errorf("core: sentinel reference: %w", err)
 		}
 		pcfg.Sentinel = &fuzz.SentinelConfig{Reference: ref, RefCovMap: refCov, Every: opts.SentinelEvery}
-		if ctrl, ok := in.Mechs[0].(fuzz.Controller); ok {
-			pcfg.Sentinel.Controller = ctrl
-		}
 	}
 	var fleet *fuzz.ParallelCampaign
 	if opts.ResumeFrom != nil {

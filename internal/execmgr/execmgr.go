@@ -111,8 +111,6 @@ func New(name string, cfg Config) (Mechanism, error) {
 		return NewPersistentNaive(cfg)
 	case "closurex":
 		return NewClosureX(cfg)
-	case "closurex-resilient":
-		return NewResilient(cfg, DefaultResilienceConfig())
 	}
 	return nil, fmt.Errorf("execmgr: unknown mechanism %q", name)
 }
@@ -371,6 +369,18 @@ func (c *ClosureX) Execute(input []byte) vm.Result {
 
 // Harness exposes the runtime (stats, correctness probes).
 func (c *ClosureX) Harness() *harness.Harness { return c.h }
+
+// ImageFault reports why the persistent image can no longer be trusted:
+// the restore error of the last execution or, when verify is set, a failed
+// harness.Verify watchdog pass. Nil means the image is sound. The shard
+// supervisor calls it after every step and with verify at every sync
+// boundary, and answers a fault with a rebuild before the next input runs.
+func (c *ClosureX) ImageFault(verify bool) error {
+	if err := c.h.TakeRestoreError(); err != nil || !verify {
+		return err
+	}
+	return c.h.Verify()
+}
 
 // Execs implements Mechanism.
 func (c *ClosureX) Execs() int64 { return c.execs }

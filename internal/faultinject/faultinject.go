@@ -3,9 +3,9 @@
 // in ways that are hard to reproduce on demand — allocator exhaustion, FD
 // leaks hitting RLIMIT_NOFILE, a restore path that silently stops working —
 // so the subsystems that must *tolerate* those failures (the harness restore
-// watchdog, the execmgr rebuild/fallback ladder) register injection sites,
-// and tests arm them with deterministic or seeded-probabilistic rules to
-// prove each degradation edge actually fires.
+// watchdog, the fuzz shard supervisor's recovery ladder) register injection
+// sites, and tests arm them with deterministic or seeded-probabilistic
+// rules to prove each degradation edge actually fires.
 //
 // An Injector is safe to leave nil: every hook site calls
 // inj.Should(site) on a possibly-nil receiver and gets false, so the
@@ -40,9 +40,8 @@ const (
 	// ShardKill kills a parallel-campaign shard mid-exec (the shard's
 	// supervisor catches the death and climbs the restart ladder).
 	ShardKill Site = "fuzz.shard-kill"
-	// ShardRestore corrupts a shard's restore path: the shard faults with a
-	// restore-corruption verdict, which the supervisor answers with a
-	// mechanism rebuild before escalating to shard replacement.
+	// ShardRestore kills a shard with a restore-corruption verdict: a death
+	// that also counts as a restore failure on the shard's recovery ladder.
 	ShardRestore Site = "fuzz.shard-restore"
 	// CorpusDelay stalls the corpus-manager goroutine on a message,
 	// modelling a slow exchange path (healthy shards must keep fuzzing).
@@ -65,9 +64,9 @@ func ForShard(s Site, shard int) Site {
 
 // rule decides when a site fires.
 type rule struct {
-	after int     // skip this many probes first
-	count int     // then fire on this many (< 0: forever)
-	prob  float64 // or: fire with this probability per probe
+	after  int     // skip this many probes first
+	count  int     // then fire on this many (< 0: forever)
+	prob   float64 // or: fire with this probability per probe
 	isProb bool
 }
 

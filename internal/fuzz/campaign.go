@@ -96,12 +96,14 @@ type Campaign struct {
 	cursor  int // queue round-robin position
 	burst   int // mutations left in the current entry's burst
 	cur     *Entry
+	// last is the latest runOne input (valid until the next Step): the
+	// suspect the shard supervisor quarantines when it broke the image.
+	last []byte
 
 	// Divergence-sentinel state (see sentinel.go).
 	sentNext    int64 // exec count of the next probe
 	sentCursor  int   // round-robin position over the queue
 	sentBackoff int64 // probe-interval multiplier, doubled per divergence
-	sentFails   int   // consecutive divergent probes
 	divergences []Divergence
 	quarantined []*Entry
 }
@@ -119,9 +121,6 @@ func NewCampaign(cfg Config) *Campaign {
 	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 64
-	}
-	if cfg.Sentinel != nil {
-		cfg.Sentinel.setDefaults()
 	}
 	rng := NewRNG(cfg.Seed)
 	mut := NewMutator(rng, cfg.MaxInputLen)
@@ -145,6 +144,7 @@ func NewCampaign(cfg Config) *Campaign {
 func (c *Campaign) runOne(input []byte, gainOverride int) {
 	res := c.cfg.Executor.Execute(input)
 	c.execs++
+	c.last = input
 	gain := c.bitmap.Update(c.cfg.CovMap)
 	if res.Fault != nil {
 		c.recordCrash(res.Fault, input)
@@ -260,17 +260,6 @@ func (c *Campaign) RunExecs(n int64) {
 			}
 		}
 	}
-}
-
-// swapExecutor replaces the campaign's execution mechanism and coverage
-// buffer in place — the shard supervisor's full-replacement rebuild. The
-// campaign's fuzzing state (queue, RNG, bitmap, tables) is untouched: it
-// is all derived from executed inputs, which a fresh mechanism reproduces.
-// Must only be called while the campaign is quiescent (the supervisor calls
-// it between segments, never mid-Step).
-func (c *Campaign) swapExecutor(ex Executor, cov []byte) {
-	c.cfg.Executor = ex
-	c.cfg.CovMap = cov
 }
 
 // Execs returns the number of test cases executed.

@@ -302,8 +302,8 @@ func TestChaosInertInjectorBitIdentical(t *testing.T) {
 	inj.FailAfter(faultinject.ShardKill, 1<<40, 1) // armed, unreachable
 	parEx, parCov := newLadder("MAGIC")
 	par, err := NewParallelCampaign(ParallelConfig{
-		Shards:     []ShardConfig{{Executor: parEx, CovMap: parCov}},
-		Seed:       99, Seeds: seeds,
+		Shards: []ShardConfig{{Executor: parEx, CovMap: parCov}},
+		Seed:   99, Seeds: seeds,
 		Supervisor: SupervisorConfig{Injector: inj},
 	})
 	if err != nil {
@@ -471,6 +471,63 @@ func TestParallelElasticResume(t *testing.T) {
 			t.Fatalf("J=%d: elastic fleet did not continue: %d execs", jobs, res.Execs())
 		}
 	}
+
+	// J=2 with a quarantine on shard 1: every shard's quarantined inputs
+	// survive an exact and an elastic resume.
+	mkBroken := func(jobs int) ParallelConfig {
+		cfg := mk(jobs)
+		if jobs > 1 {
+			ex, cov := newLadder("MAGIC")
+			cfg.Shards[1] = ShardConfig{Executor: &brokenImage{coverageLadder: ex, failAt: 100}, CovMap: cov,
+				Rebuild: func() (Executor, []byte, error) {
+					nex, ncov := newLadder("MAGIC")
+					return nex, ncov, nil
+				}}
+		}
+		return cfg
+	}
+	two, err := NewParallelCampaign(mkBroken(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two.RunExecs(n / 4)
+	q := two.Quarantined()
+	if len(q) != 1 || two.Health()[1].Rebuilds != 1 {
+		t.Fatalf("shard 1 quarantined %d inputs with %d rebuilds, want 1, 1", len(q), two.Health()[1].Rebuilds)
+	}
+	blob2, err := two.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{2, 1} {
+		res, err := ResumeParallel(mkBroken(jobs), blob2)
+		if err != nil {
+			t.Fatalf("resume J=2 -> J=%d: %v", jobs, err)
+		}
+		if got := res.Quarantined(); len(got) != 1 || !bytes.Equal(got[0].Input, q[0].Input) {
+			t.Fatalf("J=2 -> J=%d: quarantined %d inputs, want shard 1's %q", jobs, len(got), q[0].Input)
+		}
+	}
+}
+
+// brokenImage reports one restore failure right after its failAt-th
+// execution, the way execmgr.ClosureX reports a restore error.
+type brokenImage struct {
+	*coverageLadder
+	execs, failAt int
+}
+
+func (b *brokenImage) Execute(input []byte) vm.Result {
+	b.execs++
+	return b.coverageLadder.Execute(input)
+}
+
+func (b *brokenImage) ImageFault(bool) error {
+	if b.execs != b.failAt {
+		return nil
+	}
+	b.failAt = -1
+	return errors.New("restore failed")
 }
 
 func TestParallelResumeErrorPaths(t *testing.T) {

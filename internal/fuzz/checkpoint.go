@@ -55,7 +55,6 @@ type checkpointState struct {
 	SentNext    int64
 	SentCursor  int
 	SentBackoff int64
-	SentFails   int
 	Divergences []Divergence
 	Quarantined []entryState
 }
@@ -78,7 +77,6 @@ func (c *Campaign) checkpoint() ([]byte, error) {
 		SentNext:    c.sentNext,
 		SentCursor:  c.sentCursor,
 		SentBackoff: c.sentBackoff,
-		SentFails:   c.sentFails,
 		Divergences: c.divergences,
 	}
 	if !c.started {
@@ -165,7 +163,6 @@ func resume(cfg Config, data []byte) (*Campaign, error) {
 	if c.sentBackoff <= 0 {
 		c.sentBackoff = 1
 	}
-	c.sentFails = st.SentFails
 	c.divergences = st.Divergences
 	// The campaign is live immediately: seeds were already executed in the
 	// original run, so bootstrap must not run again.

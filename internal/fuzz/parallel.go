@@ -120,11 +120,14 @@ type ShardConfig struct {
 	Executor Executor
 	CovMap   []byte
 	// Rebuild, when non-nil, constructs a replacement executor + coverage
-	// map after the shard's supervisor escalates past plain restarts (a
-	// fresh VM/harness build). The callback owns retiring the old
-	// mechanism. Optional: without it (and without a mechanism-level
-	// rebuild ladder) the escalation step quarantines directly.
+	// map (a fresh VM/harness build) for the supervisor's rebuild rungs.
+	// The callback owns retiring the old mechanism. Optional: without it
+	// the ladder skips to the next rung.
 	Rebuild func() (Executor, []byte, error)
+	// Fallback is Rebuild's contract for the mechanism the shard falls
+	// back to for good when rebuilds do not stop the faults (core: a
+	// forkserver over the same module, for closurex shards only).
+	Fallback func() (Executor, []byte, error)
 }
 
 // ParallelConfig tunes a parallel campaign. The fuzzing knobs mirror
@@ -133,15 +136,15 @@ type ParallelConfig struct {
 	// Shards supplies one executor+covmap per shard; len(Shards) is J.
 	Shards []ShardConfig
 	// Seed is the trial seed; shard j fuzzes with ShardSeed(Seed, j).
-	Seed        uint64
-	Fingerprint string
-	Seeds       [][]byte
-	MaxInputLen int
+	Seed         uint64
+	Fingerprint  string
+	Seeds        [][]byte
+	MaxInputLen  int
 	HavocPerSeed int
-	SpliceProb  int
-	Dict        [][]byte
-	Stop        <-chan struct{}
-	CheckEvery  int
+	SpliceProb   int
+	Dict         [][]byte
+	Stop         <-chan struct{}
+	CheckEvery   int
 	// SyncEvery is how many executions a shard runs between sync boundaries
 	// (bitmap merge, corpus publish, inbox drain). Default 256. Lower means
 	// faster cross-shard corpus propagation, higher means less merge
@@ -183,9 +186,12 @@ type shard struct {
 	// the backpressure buffer that keeps a slow manager from ever blocking
 	// this shard's exec loop.
 	pendingPub []*Entry
-	// rebuild is the supervisor's mechanism-replacement callback
-	// (ShardConfig.Rebuild).
-	rebuild func() (Executor, []byte, error)
+	// rebuild and fallback are the ladder's ShardConfig callbacks; image is
+	// the executor's image check (nil without a persistent image).
+	rebuild, fallback func() (Executor, []byte, error)
+	image             imageChecker
+	// divergences counts the sentinel findings the ladder has acted on.
+	divergences int
 	// have tracks the content of every entry in this shard's queue, so
 	// rebroadcasts of inputs the shard already knows are dropped at adopt
 	// time instead of polluting the queue.
@@ -248,8 +254,10 @@ func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 		seen:     make(map[string]struct{}),
 	}
 	for j, sc := range cfg.Shards {
-		c := NewCampaign(cfg.shardConfig(j))
-		p.shards = append(p.shards, &shard{id: j, c: c, rebuild: sc.Rebuild, have: make(map[string]struct{})})
+		sh := &shard{id: j, c: NewCampaign(cfg.shardConfig(j)), rebuild: sc.Rebuild, fallback: sc.Fallback,
+			have: make(map[string]struct{})}
+		sh.image, _ = sc.Executor.(imageChecker)
+		p.shards = append(p.shards, sh)
 	}
 	// Every shard bootstraps the same seed corpus itself; pre-seeding the
 	// dedup set stops the first shard to sync from rebroadcasting the seeds
@@ -291,10 +299,6 @@ func (p *ParallelCampaign) Jobs() int { return len(p.shards) }
 // Shard exposes shard j's underlying sequential campaign (tests, sentinel
 // inspection). Must only be used while the campaign is quiescent.
 func (p *ParallelCampaign) Shard(j int) *Campaign { return p.shards[j].c }
-
-// GlobalEdges returns the merged edge count (same as Edges; kept for
-// symmetry with per-shard Edges readings).
-func (p *ParallelCampaign) GlobalEdges() int { return p.global.Edges() }
 
 // syncShard runs one sync boundary for sh: sample counters, merge local
 // coverage into the global bitmap, capture fresh queue entries for the
@@ -497,9 +501,15 @@ func (p *ParallelCampaign) run(fn func(sh *shard, pub chan<- corpusMsg)) {
 }
 
 // maybeSync runs a sync boundary when the shard has accumulated SyncEvery
-// executions since the last one.
+// executions since the last one, after the image watchdog: a drifted image
+// faults before the boundary can close its streak.
 func (p *ParallelCampaign) maybeSync(sh *shard, pub chan<- corpusMsg) {
 	if sh.c.execs-sh.lastSync >= int64(p.cfg.SyncEvery) {
+		if sh.image != nil {
+			if err := sh.image.ImageFault(true); err != nil {
+				panic(shardFault{kind: faultWatchdog, detail: err.Error()})
+			}
+		}
 		p.syncShard(sh, pub)
 	}
 }
@@ -646,11 +656,23 @@ func (p *ParallelCampaign) mergedTable(sel func(*Campaign) map[string]*Crash) []
 	return sortedTable(merged)
 }
 
-// Divergences returns the sentinel findings (shard 0 runs the sentinel).
-func (p *ParallelCampaign) Divergences() []Divergence { return p.shards[0].c.Divergences() }
+// Divergences returns every shard's sentinel findings. Needs quiescence.
+func (p *ParallelCampaign) Divergences() []Divergence {
+	var out []Divergence
+	for _, sh := range p.shards {
+		out = append(out, sh.c.divergences...)
+	}
+	return out
+}
 
-// Quarantined returns queue entries the sentinel pulled (shard 0).
-func (p *ParallelCampaign) Quarantined() []*Entry { return p.shards[0].c.Quarantined() }
+// Quarantined returns every shard's quarantined inputs. Needs quiescence.
+func (p *ParallelCampaign) Quarantined() []*Entry {
+	var out []*Entry
+	for _, sh := range p.shards {
+		out = append(out, sh.c.quarantined...)
+	}
+	return out
+}
 
 // Elapsed returns cumulative wall-clock fuzzing time across run calls.
 func (p *ParallelCampaign) Elapsed() time.Duration {
@@ -758,6 +780,7 @@ func ResumeParallel(cfg ParallelConfig, data []byte) (*ParallelCampaign, error) 
 		// manager's dedup state from it.
 		sh.published = len(c.queue)
 		sh.lastSync = c.execs
+		sh.divergences = len(c.divergences)
 		for _, e := range c.queue {
 			k := string(e.Input)
 			sh.have[k] = struct{}{}
@@ -777,9 +800,9 @@ func ResumeParallel(cfg ParallelConfig, data []byte) (*ParallelCampaign, error) 
 // lands on shard i mod J′ — so resuming the same checkpoint at the same
 // new J always yields the same fleet. Every shard's bitmap starts from the
 // OR of the records' virgin maps and its campaign clock from elapsed. The
-// summed exec count, the merged crash and hang tables and the sentinel's
-// findings land on shard 0, so totals survive even though their per-shard
-// attribution is gone.
+// summed exec count, the merged crash and hang tables, and every shard's
+// divergences and quarantined inputs land on shard 0, so totals survive
+// even though their per-shard attribution is gone.
 func (p *ParallelCampaign) reshard(saved *ParallelCampaign, elapsed time.Duration) {
 	merged := NewGlobalBitmap()
 	for _, sh := range saved.shards {

@@ -232,34 +232,34 @@ func (d *divergentRef) Execute(input []byte) vm.Result {
 // agreeingRef mirrors resilienceExecutor exactly.
 type agreeingRef struct{ resilienceExecutor }
 
-type fakeController struct {
-	rebuilds, degrades int
-	degraded           bool
-	lastReason         string
-}
-
-func (f *fakeController) Rebuild(reason string) { f.rebuilds++; f.lastReason = reason }
-func (f *fakeController) Degrade(reason string) { f.degrades++; f.degraded = true; f.lastReason = reason }
-func (f *fakeController) Degraded() bool        { return f.degraded }
-
 func TestSentinelRoutesDivergencesIntoLadder(t *testing.T) {
 	cov := make([]byte, MapSize)
 	refCov := make([]byte, MapSize)
-	ctrl := &fakeController{}
-	c := NewCampaign(Config{
-		Executor: &resilienceExecutor{cov: cov},
-		CovMap:   cov,
-		Seeds:    [][]byte{{'a'}, {'b'}},
-		Seed:     9,
+	var rebuilds, fallbacks int
+	replacement := func(calls *int) func() (Executor, []byte, error) {
+		return func() (Executor, []byte, error) {
+			*calls++
+			ncov := make([]byte, MapSize)
+			return &resilienceExecutor{cov: ncov}, ncov, nil
+		}
+	}
+	p, err := NewParallelCampaign(ParallelConfig{
+		Shards: []ShardConfig{{Executor: &resilienceExecutor{cov: cov}, CovMap: cov,
+			Rebuild: replacement(&rebuilds), Fallback: replacement(&fallbacks)}},
+		Seeds: [][]byte{{'a'}, {'b'}},
+		Seed:  9,
 		Sentinel: &SentinelConfig{
-			Reference:   &divergentRef{cov: refCov},
-			RefCovMap:   refCov,
-			Every:       10,
-			MaxFailures: 2,
-			Controller:  ctrl,
+			Reference: &divergentRef{cov: refCov},
+			RefCovMap: refCov,
+			Every:     10,
 		},
+		Supervisor: SupervisorConfig{MaxRestarts: 1},
 	})
-	c.RunExecs(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunExecs(600)
+	c := p.Shard(0)
 
 	divs := c.Divergences()
 	if len(divs) < 3 {
@@ -270,10 +270,11 @@ func TestSentinelRoutesDivergencesIntoLadder(t *testing.T) {
 			t.Fatalf("divergence reason %q, want a result mismatch", d.Reason)
 		}
 	}
-	// Ladder: failures 1 and 2 ask for rebuilds, failure 3 exceeds
-	// MaxFailures=2 and degrades; once degraded, no further requests.
-	if ctrl.rebuilds != 2 || ctrl.degrades != 1 {
-		t.Fatalf("controller saw %d rebuilds, %d degrades; want 2, 1", ctrl.rebuilds, ctrl.degrades)
+	// Ladder (MaxRestarts=1, no sync boundary between the probes):
+	// divergences 1 and 2 rebuild, divergence 3 falls back, divergence 4
+	// quarantines the shard; after the fallback, no further requests.
+	if rebuilds != 2 || fallbacks != 1 {
+		t.Fatalf("ladder saw %d rebuilds, %d fallbacks; want 2, 1", rebuilds, fallbacks)
 	}
 	if len(c.Quarantined()) == 0 {
 		t.Fatal("divergent entries were not quarantined")

@@ -1,31 +1,20 @@
 package fuzz
 
 import (
+	"bytes"
 	"fmt"
 
 	"closurex/internal/vm"
 )
-
-// Controller is the campaign's handle on the execution mechanism's
-// quarantine/rebuild/fallback ladder (implemented by execmgr.Resilient).
-// The sentinel routes divergences into it: each divergence triggers one
-// rebuild of the persistent image; a streak longer than MaxFailures
-// degrades the mechanism to its fallback.
-type Controller interface {
-	// Rebuild asks for one rebuild of the persistent process image.
-	Rebuild(reason string)
-	// Degrade asks for the permanent fallback transition.
-	Degrade(reason string)
-	// Degraded reports whether the fallback is already active.
-	Degraded() bool
-}
 
 // SentinelConfig arms the divergence sentinel: the paper's offline §6.1.4
 // correctness study turned into a runtime self-check. Every Every campaign
 // executions, one queue entry is replayed under the campaign's persistent
 // mechanism AND under a fresh-process reference executor; their coverage
 // edge sets and fault verdicts must agree. A mismatch means the persistent
-// image has drifted from fresh-process semantics.
+// image has drifted from fresh-process semantics. In a ParallelCampaign
+// each divergence is a fault on the shard's recovery ladder (see
+// supervisor.go); a bare Campaign only records it.
 type SentinelConfig struct {
 	// Reference executes the replay in a fresh process image each time. It
 	// must run the same instrumented module as the campaign's executor so
@@ -35,19 +24,6 @@ type SentinelConfig struct {
 	RefCovMap []byte
 	// Every is the probe period in campaign executions (0 disables).
 	Every int64
-	// MaxFailures bounds consecutive divergent probes before the sentinel
-	// gives up on rebuilds and degrades the mechanism (default 3).
-	MaxFailures int
-	// Controller receives rebuild/degrade requests; nil means the sentinel
-	// only records divergences (observation mode — how the PersistentNaive
-	// pathology demonstration runs).
-	Controller Controller
-}
-
-func (s *SentinelConfig) setDefaults() {
-	if s.MaxFailures <= 0 {
-		s.MaxFailures = 3
-	}
 }
 
 // Divergence records one sentinel probe whose persistent-mechanism replay
@@ -64,7 +40,8 @@ type Divergence struct {
 // Divergences returns the sentinel's findings so far.
 func (c *Campaign) Divergences() []Divergence { return c.divergences }
 
-// Quarantined returns queue entries the sentinel pulled out of rotation.
+// Quarantined returns the inputs pulled out of rotation: entries the
+// sentinel found divergent and inputs whose execution broke the image.
 func (c *Campaign) Quarantined() []*Entry { return c.quarantined }
 
 // sentinelProbe replays one queue entry under both executors and compares.
@@ -97,7 +74,6 @@ func (c *Campaign) sentinelProbe() {
 			len(pEdges), len(rEdges), edgeSetDiff(pEdges, rEdges))
 	}
 	if reason == "" {
-		c.sentFails = 0
 		c.sentBackoff = 1
 		c.sentNext = c.execs + s.Every
 		return
@@ -109,14 +85,6 @@ func (c *Campaign) sentinelProbe() {
 		Reason: reason,
 	})
 	c.quarantineEntry(e)
-	c.sentFails++
-	if ctrl := s.Controller; ctrl != nil && !ctrl.Degraded() {
-		if c.sentFails > s.MaxFailures {
-			ctrl.Degrade(fmt.Sprintf("sentinel: %d consecutive divergences; last: %s", c.sentFails, reason))
-		} else {
-			ctrl.Rebuild("sentinel: " + reason)
-		}
-	}
 	// Back off: a diverging image is being rebuilt (or is beyond help), so
 	// probing at full cadence would only burn executions re-confirming it.
 	c.sentBackoff *= 2
@@ -141,6 +109,16 @@ func (c *Campaign) quarantineEntry(e *Entry) {
 		// Don't keep mutating from a quarantined basis.
 		c.burst = 0
 	}
+}
+
+// quarantineLast quarantines the input of the most recent execution: the
+// newest queue entry when that execution added it, otherwise a new entry.
+func (c *Campaign) quarantineLast() {
+	if n := len(c.queue); n > 0 && bytes.Equal(c.queue[n-1].Input, c.last) {
+		c.quarantineEntry(c.queue[n-1])
+		return
+	}
+	c.quarantined = append(c.quarantined, &Entry{Input: append([]byte(nil), c.last...), FoundAt: c.Elapsed()})
 }
 
 // zeroMap clears a coverage map.

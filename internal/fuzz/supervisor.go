@@ -1,30 +1,27 @@
 package fuzz
 
-// Shard supervision for ParallelCampaign. Each shard's exec loop runs under
-// a per-shard supervisor that catches shard death (an injected kill, a
-// restore corruption, or a real panic anywhere in the shard's exec stack)
-// and climbs the PR-1 recovery ladder at fleet scope:
+// Shard supervision for ParallelCampaign: the campaign's one recovery
+// ladder (DESIGN.md §11). A fault ends a shard's loop segment: a death (a
+// panic in the exec stack, including the chaos ShardKill/ShardRestore
+// probes), an image fault (the executor's restore error after a step, or a
+// failed watchdog at a sync boundary) or a sentinel divergence. Each fault
+// extends the shard's streak s; with M = MaxRestarts:
 //
-//	fault
-//	    → restart the shard loop with exponential backoff (campaign state —
-//	      queue, RNG, bitmap — survives; only the segment died)
-//	repeated fault (> MaxRestarts consecutive)
-//	    → rebuild the execution mechanism: first via the mechanism's own
-//	      ladder (execmgr.Resilient.Rebuild), else a full replacement
-//	      through ShardConfig.Rebuild (fresh VM + harness)
-//	fault again
-//	    → permanent quarantine: the shard's coverage is merged, its pending
-//	      corpus redistributed through the manager, and the campaign
-//	      continues on the remaining healthy shards
+//	s <= M    a death restarts the loop with exponential backoff (queue,
+//	          RNG and bitmap survive); an image fault or divergence
+//	          rebuilds at once, so a polluted image never runs the next
+//	          input, and a restore failure also quarantines its input
+//	s == M+1  rebuild (ShardConfig.Rebuild: fresh VM + harness)
+//	s == M+2  fall back for good (ShardConfig.Fallback; later rebuilds
+//	          rebuild the fallback)
+//	beyond    quarantine the shard: its coverage is merged, its pending
+//	          corpus redistributed, and the healthy shards carry on
 //
-// A shard that reaches a sync boundary (SyncEvery fresh executions) closes
-// its fault streak, so intermittent faults restart forever without ever
-// quarantining a shard that still makes progress.
-//
-// With no faults the supervisor is inert: the loop runs to completion on
-// the first attempt, the deferred recover never fires, and the sync cadence
-// is untouched — fault-free campaigns behave exactly as they did without
-// supervision (the J=1 bit-identity proof still holds).
+// A missing or failing rung escalates to the next. A sync boundary with
+// progress closes the streak, so intermittent faults never retire a shard
+// that still makes progress. With no faults the supervisor is inert:
+// fault-free campaigns behave exactly as they did without supervision (the
+// J=1 bit-identity proof still holds).
 
 import (
 	"fmt"
@@ -38,10 +35,10 @@ import (
 
 // SupervisorConfig tunes the per-shard supervision ladder.
 type SupervisorConfig struct {
-	// MaxRestarts is how many consecutive plain restarts a shard gets
-	// before the supervisor escalates to a mechanism rebuild; one more
-	// fault after the rebuild quarantines the shard permanently
-	// (default 3).
+	// MaxRestarts is M in the ladder: how many consecutive faults a shard
+	// absorbs with restarts (deaths) or rebuilds (image faults, divergences)
+	// before the supervisor escalates to a forced rebuild, then the
+	// fallback, then quarantine (default 3).
 	MaxRestarts int
 	// Backoff is the cooldown before the first restart; it doubles per
 	// consecutive fault (default 2ms — shards are in-process goroutines,
@@ -89,12 +86,29 @@ func (s *SupervisorConfig) setDefaults() {
 	}
 }
 
-// shardFault is the panic payload the chaos probes (and any future
-// self-check) throw to kill the current shard segment with a typed verdict.
-type shardFault struct {
-	kind   string // "kill" | "restore-corrupt"
-	detail string
+// Fault kinds: three deaths, then two image faults and the divergence.
+const (
+	faultKill       = "kill"            // chaos ShardKill probe
+	faultCorrupt    = "restore-corrupt" // chaos ShardRestore probe
+	faultPanic      = "panic"           // any other panic in the exec stack
+	faultRestore    = "restore-failure" // executor restore error after a step
+	faultWatchdog   = "watchdog"        // failed Verify at a sync boundary
+	faultDivergence = "divergence"      // sentinel replay disagreed
+)
+
+// shardFault is the panic payload that ends a shard segment with a typed
+// verdict. The image and divergence checks throw it like the chaos probes,
+// so supervise handles every fault kind at one recover site.
+type shardFault struct{ kind, detail string }
+
+// death reports whether f killed the segment rather than the image.
+func (f shardFault) death() bool {
+	return f.kind == faultKill || f.kind == faultCorrupt || f.kind == faultPanic
 }
+
+// imageChecker is implemented by executors with a persistent image
+// (execmgr.ClosureX); the shard asserts it once per executor.
+type imageChecker interface{ ImageFault(verify bool) error }
 
 // shardHealth is the per-shard health ledger. All fields are atomics so
 // Health() can snapshot them from any goroutine while the fleet runs.
@@ -107,6 +121,7 @@ type shardHealth struct {
 	inboxDropped    atomic.Int64
 	pendingPub      atomic.Int64
 	quarantined     atomic.Bool
+	fellBack        atomic.Bool
 	stalled         atomic.Bool
 	lastProgress    atomic.Int64  // unix nanos of the last observed progress
 	rateBits        atomic.Uint64 // EWMA execs/sec, as math.Float64bits
@@ -140,10 +155,10 @@ type ShardHealth struct {
 	Hangs   int64
 	// ExecRate is an exponentially weighted execs/sec over sync windows.
 	ExecRate float64
-	// Restarts counts supervised segment restarts; Rebuilds counts
-	// mechanism rebuilds/replacements; RestoreFailures counts faults
-	// triaged as restore corruption (both injected and, for mechanisms
-	// that expose it, organic restore errors).
+	// Restarts counts deaths (each restarts the segment unless the shard
+	// is retired); Rebuilds counts rebuild rungs taken; RestoreFailures
+	// counts image faults (restore errors, failed watchdog passes) plus
+	// the chaos ShardRestore corruptions.
 	Restarts        int64
 	Rebuilds        int64
 	RestoreFailures int64
@@ -164,8 +179,8 @@ type ShardHealth struct {
 	LastProgress time.Time
 	// LastFault describes the most recent fault ("" while clean).
 	LastFault string
-	// MechDegraded mirrors the mechanism's own ladder state when the
-	// executor exposes it (execmgr.Resilient fallen back to forkserver).
+	// MechDegraded means the shard has fallen back to its
+	// ShardConfig.Fallback mechanism (the forkserver, for closurex shards).
 	MechDegraded bool
 }
 
@@ -178,27 +193,12 @@ type ShardEvent struct {
 	At     time.Duration // campaign time
 }
 
-// mechRebuilder is the optional executor interface the supervisor prefers
-// for rebuilds: execmgr.Resilient satisfies it, so a restore-corrupt shard
-// first recycles its persistent image through the mechanism's own ladder
-// before the supervisor replaces the whole mechanism.
-type mechRebuilder interface{ Rebuild(reason string) }
-
-// mechDegraded is the optional executor interface exposing the mechanism
-// ladder's fallback state (execmgr.Resilient).
-type mechDegraded interface{ Degraded() bool }
-
-// mechRestoreFails is the optional executor interface exposing organic
-// restore-error counts (execmgr.Resilient), folded into ShardHealth next to
-// the supervisor's own injected-fault count.
-type mechRestoreFails interface{ RestoreFailures() int64 }
-
 // Health snapshots every shard's supervision state. Safe to call from any
 // goroutine while the fleet runs; counter fields lag live progress by at
 // most one sync window.
 func (p *ParallelCampaign) Health() []ShardHealth {
 	out := make([]ShardHealth, len(p.shards))
-	for j, sh := range p.shards {
+	for j := range p.shards {
 		h := &p.health[j]
 		out[j] = ShardHealth{
 			Shard:             j,
@@ -216,15 +216,10 @@ func (p *ParallelCampaign) Health() []ShardHealth {
 			Quarantined:       h.quarantined.Load(),
 			Stalled:           h.stalled.Load(),
 			LastFault:         h.getLastFault(),
+			MechDegraded:      h.fellBack.Load(),
 		}
 		if ns := h.lastProgress.Load(); ns > 0 {
 			out[j].LastProgress = time.Unix(0, ns)
-		}
-		if d, ok := sh.c.cfg.Executor.(mechDegraded); ok {
-			out[j].MechDegraded = d.Degraded()
-		}
-		if rf, ok := sh.c.cfg.Executor.(mechRestoreFails); ok {
-			out[j].RestoreFailures += rf.RestoreFailures()
 		}
 	}
 	return out
@@ -259,21 +254,32 @@ func (p *ParallelCampaign) eventf(shard int, exec int64, kind, format string, ar
 }
 
 // step advances sh's campaign by one execution, probing the chaos sites
-// first. The production fast path is one nil check.
+// first, then checks the executor's image and the sentinel's verdict. The
+// production fast path is one nil check before the step and two after.
 func (p *ParallelCampaign) step(sh *shard) {
 	if inj := p.sup.Injector; inj != nil {
 		if inj.Should(faultinject.ShardKill) || inj.Should(faultinject.ForShard(faultinject.ShardKill, sh.id)) {
-			panic(shardFault{kind: "kill", detail: faultinject.Err(faultinject.ShardKill).Error()})
+			panic(shardFault{kind: faultKill, detail: faultinject.Err(faultinject.ShardKill).Error()})
 		}
 		if inj.Should(faultinject.ShardRestore) || inj.Should(faultinject.ForShard(faultinject.ShardRestore, sh.id)) {
-			panic(shardFault{kind: "restore-corrupt", detail: faultinject.Err(faultinject.ShardRestore).Error()})
+			panic(shardFault{kind: faultCorrupt, detail: faultinject.Err(faultinject.ShardRestore).Error()})
 		}
 	}
-	sh.c.Step()
+	c := sh.c
+	c.Step()
+	if sh.image != nil {
+		if err := sh.image.ImageFault(false); err != nil {
+			panic(shardFault{kind: faultRestore, detail: err.Error()})
+		}
+	}
+	if n := len(c.divergences); n != sh.divergences {
+		sh.divergences = n
+		panic(shardFault{kind: faultDivergence, detail: c.divergences[n-1].Reason})
+	}
 }
 
 // supervise is one shard's top-level goroutine: run the exec loop, and on
-// shard death climb restart → rebuild → quarantine. A quarantined shard
+// every fault climb the ladder (see the file comment). A quarantined shard
 // never restarts, including across subsequent RunFor/RunExecs calls.
 func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*shard, chan<- corpusMsg)) {
 	h := &p.health[sh.id]
@@ -281,24 +287,36 @@ func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*s
 		return
 	}
 	h.touchProgress()
+	m := int64(p.sup.MaxRestarts)
 	for {
-		if p.runSegment(sh, pub, fn) {
+		f, completed := p.runSegment(sh, pub, fn)
+		if completed {
 			// Normal completion (deadline, exec target, or stop request):
 			// flush everything at a final boundary.
 			p.syncShard(sh, pub)
 			p.flushPublishes(sh, pub, true)
-			h.consecFaults.Store(0)
 			return
 		}
-		faults := h.consecFaults.Add(1)
-		h.restarts.Add(1)
-		p.eventf(sh.id, sh.c.execs, "fault", "%s (streak %d)", h.getLastFault(), faults)
+		s := h.consecFaults.Add(1)
+		p.eventf(sh.id, sh.c.execs, f.kind, "%s (streak %d)", f.detail, s)
+		if f.kind == faultRestore {
+			sh.c.quarantineLast()
+		}
+		if f.death() {
+			h.restarts.Add(1)
+		}
 		switch {
-		case faults <= int64(p.sup.MaxRestarts):
-			p.eventf(sh.id, sh.c.execs, "restart", "backoff %v", p.backoffFor(faults))
-			p.backoffWait(p.backoffFor(faults))
-		case faults == int64(p.sup.MaxRestarts)+1 && p.rebuildShard(sh):
-			p.backoffWait(p.backoffFor(faults))
+		case s <= m && f.death():
+			p.eventf(sh.id, sh.c.execs, "restart", "backoff %v", p.backoffFor(s))
+			p.backoffWait(p.backoffFor(s))
+		case s <= m+1 && p.replaceMech(sh, sh.rebuild, "rebuild", s):
+			h.rebuilds.Add(1)
+			if f.death() {
+				p.backoffWait(p.backoffFor(s))
+			}
+		case s <= m+2 && p.replaceMech(sh, sh.fallback, "fallback", s):
+			sh.rebuild, sh.fallback = sh.fallback, nil
+			h.fellBack.Store(true)
 		default:
 			p.quarantineShard(sh, pub)
 			return
@@ -308,23 +326,22 @@ func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*s
 
 // runSegment runs one supervised stretch of the shard loop, converting any
 // panic in the shard's exec stack into a recorded fault.
-func (p *ParallelCampaign) runSegment(sh *shard, pub chan<- corpusMsg, fn func(*shard, chan<- corpusMsg)) (completed bool) {
+func (p *ParallelCampaign) runSegment(sh *shard, pub chan<- corpusMsg, fn func(*shard, chan<- corpusMsg)) (f shardFault, completed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			h := &p.health[sh.id]
-			switch f := r.(type) {
-			case shardFault:
-				if f.kind == "restore-corrupt" {
-					h.restoreFailures.Add(1)
-				}
-				h.setLastFault(f.kind + ": " + f.detail)
-			default:
-				h.setLastFault(fmt.Sprintf("panic: %v", r))
+			var ok bool
+			if f, ok = r.(shardFault); !ok {
+				f = shardFault{kind: faultPanic, detail: fmt.Sprint(r)}
 			}
+			h := &p.health[sh.id]
+			if f.kind == faultCorrupt || f.kind == faultRestore || f.kind == faultWatchdog {
+				h.restoreFailures.Add(1)
+			}
+			h.setLastFault(f.kind + ": " + f.detail)
 		}
 	}()
 	fn(sh, pub)
-	return true
+	return shardFault{}, true
 }
 
 // backoffFor returns the exponential cooldown for the nth consecutive fault.
@@ -351,30 +368,22 @@ func (p *ParallelCampaign) backoffWait(d time.Duration) {
 	}
 }
 
-// rebuildShard replaces the shard's execution mechanism while keeping its
-// campaign state (queue, RNG, bitmap — all still sound; only the mechanism
-// is suspect). The mechanism's own ladder is preferred; full replacement
-// through ShardConfig.Rebuild is the fallback. Returns false when no
-// rebuild path exists or construction fails — the caller quarantines.
-func (p *ParallelCampaign) rebuildShard(sh *shard) bool {
-	h := &p.health[sh.id]
-	if rb, ok := sh.c.cfg.Executor.(mechRebuilder); ok {
-		rb.Rebuild("shard supervisor: fault streak escalation")
-		h.rebuilds.Add(1)
-		p.eventf(sh.id, sh.c.execs, "rebuild", "mechanism ladder rebuild")
-		return true
-	}
-	if sh.rebuild == nil {
+// replaceMech swaps in the mechanism build constructs (the rebuild or
+// fallback rung), keeping the shard's campaign state: queue, RNG and bitmap
+// are all derived from executed inputs, so only the mechanism is suspect.
+// False when build is nil or fails; the caller escalates.
+func (p *ParallelCampaign) replaceMech(sh *shard, build func() (Executor, []byte, error), kind string, streak int64) bool {
+	if build == nil {
 		return false
 	}
-	ex, cov, err := sh.rebuild()
+	ex, cov, err := build()
 	if err != nil {
-		p.eventf(sh.id, sh.c.execs, "rebuild", "replacement failed: %v", err)
+		p.eventf(sh.id, sh.c.execs, kind, "replacement failed: %v", err)
 		return false
 	}
-	sh.c.swapExecutor(ex, cov)
-	h.rebuilds.Add(1)
-	p.eventf(sh.id, sh.c.execs, "rebuild", "mechanism replaced")
+	sh.c.cfg.Executor, sh.c.cfg.CovMap = ex, cov
+	sh.image, _ = ex.(imageChecker)
+	p.eventf(sh.id, sh.c.execs, kind, "after %d consecutive faults", streak)
 	return true
 }
 

@@ -22,7 +22,7 @@ import (
 	"closurex/internal/vm"
 )
 
-// Sentinel errors the resilience layer and tests branch on with errors.Is.
+// Sentinel errors the recovery ladder and tests branch on with errors.Is.
 var (
 	// ErrRestore wraps every failure of the between-iteration restore
 	// steps (global copy-back, heap reset, descriptor close/rewind).
@@ -34,7 +34,7 @@ var (
 	// observed at runtime: a byte outside the may-write scope drifted, or
 	// a must-free chunk / must-close descriptor survived a non-crashed
 	// iteration. Audit errors also wrap ErrWatchdog (multi-%w) so the
-	// resilience layer's quarantine/rebuild reflex fires unchanged.
+	// recovery ladder's quarantine/rebuild reflex fires unchanged.
 	ErrAudit = errors.New("harness: elision audit violated")
 )
 
@@ -147,8 +147,8 @@ type Harness struct {
 	lastCrashed bool
 	// sinceAudit counts iterations since the last full-section audit.
 	sinceAudit int
-	// restoreErr is the first error the most recent restore hit; the
-	// resilience layer drains it via TakeRestoreError after each iteration.
+	// restoreErr is the first error the most recent restore hit; the shard
+	// supervisor drains it via TakeRestoreError after each iteration.
 	restoreErr error
 }
 
@@ -235,7 +235,7 @@ func (h *Harness) ElisionRangeBytes() int {
 
 // RunOne executes one test case and restores state for the next. A restore
 // failure is not part of the test case's result — it is recorded and
-// drained by the resilience layer via TakeRestoreError.
+// drained by the shard supervisor via TakeRestoreError.
 func (h *Harness) RunOne(input []byte) vm.Result {
 	h.v.SetInput(input)
 	res := h.v.Call(passes.TargetMain)
@@ -260,9 +260,8 @@ func (h *Harness) RunOne(input []byte) vm.Result {
 }
 
 // TakeRestoreError returns and clears the first error the most recent
-// restore hit (nil when restoration succeeded). The execmgr resilience
-// layer polls this after every execution: a non-nil value means the
-// process image can no longer be trusted and must be quarantined/rebuilt.
+// restore hit (nil when restoration succeeded). The shard supervisor polls
+// it after every execution; non-nil means the image must be rebuilt.
 func (h *Harness) TakeRestoreError() error {
 	err := h.restoreErr
 	h.restoreErr = nil
@@ -449,8 +448,8 @@ func (h *Harness) Verify() error {
 // particular the bytes the scoped restore never touches because the
 // analysis proved them unwritable. Drift there means an elision proof was
 // wrong; Audit repairs the section with a whole-section copy-back and
-// returns an error wrapping both ErrAudit and ErrWatchdog so the
-// resilience layer quarantines/rebuilds as it would for any drift. RunOne
+// returns an error wrapping both ErrAudit and ErrWatchdog so the recovery
+// ladder quarantines/rebuilds as it would for any drift. RunOne
 // calls it every Options.AuditEvery iterations; it is also safe to call
 // directly at any restore boundary.
 func (h *Harness) Audit() error {

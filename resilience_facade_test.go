@@ -8,12 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"closurex/internal/core"
+	"closurex/internal/execmgr"
+	"closurex/internal/faultinject"
 	"closurex/internal/fuzz"
+	"closurex/internal/targets"
 )
 
 // Facade-level resilience coverage: checkpoint/resume round-trips through
-// the public API, the resilience ladder and sentinel are reachable through
-// Options, and a resumed campaign matches an uninterrupted one.
+// the public API, every default campaign runs under the recovery ladder,
+// the sentinel is reachable through Options, and a resumed campaign
+// matches an uninterrupted one.
 
 func TestFuzzerCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	seeds := [][]byte{[]byte("B?"), []byte("B!")} // second seed crashes at bootstrap
@@ -209,14 +214,17 @@ func TestResumeRejectsOldCheckpointFormats(t *testing.T) {
 	}
 }
 
-func TestResilientOptionWrapsClosureX(t *testing.T) {
-	f, err := NewFuzzer(demoSource, [][]byte{[]byte("ab")}, Options{Seed: 5, Resilient: true})
+// The default path: every closurex fuzzer runs a bare ClosureX image under
+// the shard supervisor's recovery ladder, which stays silent on a healthy
+// target.
+func TestDefaultFuzzerKeepsBareClosureX(t *testing.T) {
+	f, err := NewFuzzer(demoSource, [][]byte{[]byte("ab")}, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Mechanism() != "closurex-resilient" {
-		t.Fatalf("Mechanism = %q", f.Mechanism())
+	if _, ok := f.inst.Mech.(*execmgr.ClosureX); !ok || f.Mechanism() != "closurex" {
+		t.Fatalf("Mechanism = %q (%T)", f.Mechanism(), f.inst.Mech)
 	}
 	f.RunExecs(2000)
 	st := f.Stats()
@@ -225,6 +233,40 @@ func TestResilientOptionWrapsClosureX(t *testing.T) {
 	}
 	if st.Execs < 2000 || st.Edges == 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if h := f.ShardHealth()[0]; h.Restarts != 0 || h.Rebuilds != 0 || h.RestoreFailures != 0 || st.Quarantined != 0 {
+		t.Fatalf("ladder engaged on a healthy target: %+v, quarantined %d", h, st.Quarantined)
+	}
+}
+
+// A default campaign, with no resilience option, acts on a restore fault:
+// the supervisor drains the error the harness recorded, quarantines the
+// input and rebuilds the image before the next input runs.
+func TestDefaultCampaignActsOnRestoreFault(t *testing.T) {
+	inj := faultinject.New(1)
+	inj.FailAfter(faultinject.RestoreGlobals, 300, 1)
+	tgt := &targets.Target{Name: "user", Short: "user", Source: demoSource, MaxInputLen: 64,
+		Seeds: func() [][]byte { return [][]byte{[]byte("ab")} }}
+	inst, err := core.NewInstance(tgt, "closurex", core.InstanceOptions{TrialSeed: 2, Injector: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Fuzzer{inst: inst}
+	defer f.Close()
+	f.RunExecs(2000)
+	if inj.Fired(faultinject.RestoreGlobals) != 1 {
+		t.Fatal("test premise broken: the restore fault never fired")
+	}
+	h := f.ShardHealth()[0]
+	if h.RestoreFailures != 1 || h.Rebuilds != 1 {
+		t.Fatalf("RestoreFailures = %d, Rebuilds = %d, want 1, 1", h.RestoreFailures, h.Rebuilds)
+	}
+	st := f.Stats()
+	if st.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want the input that broke the image", st.Quarantined)
+	}
+	if st.Execs < 2000 {
+		t.Fatalf("campaign stopped at %d execs", st.Execs)
 	}
 }
 
