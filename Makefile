@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race faultcheck lint sanitize interproc harness-audit chaos compile transval synth check bench benchjson clean
+.PHONY: all build test vet race faultcheck lint sanitize harness-audit chaos compile transval synth check bench benchjson clean
 
 # Pinned staticcheck release for the lint gate. The gate is unconditional:
 # `go run` resolves the pinned version (from the local module cache when
@@ -35,14 +35,17 @@ race:
 # The fault-injection / resilience suite on its own, verbose: every
 # degradation edge (restore failure -> quarantine + rebuild; repeated
 # failure -> forkserver fallback; sentinel divergence; checkpoint resume),
-# then a fixed-time run of the checkpoint fuzz target: hostile blobs must
-# be rejected with ErrBadCheckpoint, never panic (crashers are checked in
-# under internal/fuzz/testdata/fuzz and replay in the plain suite).
+# then fixed-time runs of the two fuzz targets: hostile checkpoint blobs
+# must be rejected with ErrBadCheckpoint, and hostile MinC source must fail
+# Compile/instrumentation/verification with an error, never panic
+# (crashers are checked in under internal/{fuzz,core}/testdata/fuzz and
+# replay in the plain suite).
 faultcheck:
 	$(GO) test -v ./internal/faultinject/
 	$(GO) test -v -run 'Injected|Fault|Resilient|Restore|Watchdog|Sentinel|Checkpoint|Resume|Degrad|Hang|Stop' \
 		./internal/harness/ ./internal/execmgr/ ./internal/fuzz/ .
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/core/
 
 # Static correctness gate: go vet, the restore-completeness lints over
 # every registered target, and the pipeline test suites with the deep
@@ -60,16 +63,6 @@ lint:
 sanitize:
 	$(GO) test -run 'Sanitiz|Shadow|Quarantine|Elision|Elide' . ./internal/mem/ ./internal/harness/ ./internal/passes/ ./internal/core/ ./internal/analysis/sanitize/
 	$(GO) run ./cmd/closurex-lint -q -strict -target all -sanitize-report
-
-# Restore-elision gate: the interprocedural analysis unit suites
-# (call graph, mod/ref, lifetime, audit), the off-vs-on differential
-# (bit-identical coverage/corpus/crashes on every target), the runtime
-# audit suite (zero elision drift over hundreds of iterations), and the
-# strict lint run with the per-function elision report.
-interproc:
-	$(GO) test ./internal/analysis/interproc/
-	$(GO) test -run 'Interproc|Elision|Elide' ./internal/core/ ./internal/harness/ ./internal/vm/ ./internal/passes/
-	$(GO) run ./cmd/closurex-lint -q -target all -interproc-report
 
 # Harness-quality gate: the audit analysis suites (reachability, coverage
 # geometry, input dataflow, auto-dictionary) plus the strict audited lint
@@ -97,8 +90,8 @@ chaos:
 # Compiled-tier gate: the interp-vs-compiled differential suites — the
 # VM-level matrix in internal/vm/compile (per-seed observables, timeout
 # sites, repeat-exec identity) and the campaign-level matrix in
-# internal/core (coverage/corpus/crash/hang identity across sanitize,
-# interproc and injected-restore-fault modes, fixed-seed determinism) —
+# internal/core (coverage/corpus/crash/hang identity across sanitize and
+# injected-restore-fault modes, fixed-seed determinism) —
 # run plain and then under -race, since the compiled program cache is
 # shared across shard VMs.
 compile:
@@ -126,7 +119,7 @@ synth:
 	$(GO) test -race -timeout 15m -count=1 -run 'Synth' ./internal/analysis/synth/ ./internal/experiments/ ./internal/core/
 	$(GO) run ./cmd/closurex-lint -q -target all -synth
 
-check: vet test race faultcheck lint sanitize interproc harness-audit chaos compile transval synth benchjson
+check: vet test race faultcheck lint sanitize harness-audit chaos compile transval synth benchjson
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -135,10 +128,9 @@ bench:
 # BENCH_<artifact>.json each, all in the one row schema (target, mechanism,
 # backend, jobs, mode, best/median execs/s, edges, corpus, shard health).
 # Each entry is sweep:artifact; BENCH_chaos.json comes from `make chaos`.
-# A sweep whose gate fails (all_identical, edges_match, deterministic_off,
+# A sweep whose gate fails (all_identical, deterministic_off,
 # clx130, strict_superset) writes its artifact and then fails the target.
-BENCH_SWEEPS = parallel:parallel compile:compile sanitizer:sanitizer elision:interproc \
-	dict:harness synth:synth
+BENCH_SWEEPS = parallel:parallel compile:compile sanitizer:sanitizer dict:harness synth:synth
 
 benchjson:
 	@for s in $(BENCH_SWEEPS); do \

@@ -105,28 +105,11 @@ type Options struct {
 	DeterministicRand bool
 	// Sanitize arms the ASan-style heap sanitizer: the build carries
 	// shadow-memory checks before every heap access (statically elided
-	// where the bounds analysis proves them unnecessary, unless
-	// SanitizeNoElide), allocations get redzones, frees go through a
-	// poisoning quarantine, and crashes carry allocation/free sites that
-	// refine triage buckets. Coverage bitmap geometry is identical with
-	// and without the sanitizer.
+	// where the bounds analysis proves them unnecessary), allocations get
+	// redzones, frees go through a poisoning quarantine, and crashes carry
+	// allocation/free sites that refine triage buckets. Coverage bitmap
+	// geometry is identical with and without the sanitizer.
 	Sanitize bool
-	// SanitizeNoElide disables the static check-elision analysis while
-	// keeping the sanitizer armed — the benchmark configuration that
-	// measures what the analysis is worth. Implies nothing unless
-	// Sanitize is set.
-	SanitizeNoElide bool
-	// Interproc arms restore elision: the build runs the interprocedural
-	// mod/ref + lifetime analysis (InterprocPass) and the ClosureX harness
-	// scopes snapshot/restore/watchdog work to the proven may-write byte
-	// ranges of closure_global_section. Coverage bitmaps and corpora are
-	// bit-identical with and without it.
-	Interproc bool
-	// AuditRestore periodically re-checks the full closure section (and
-	// the must-free/must-close censuses) against the init snapshot at
-	// runtime, repairing and surfacing any drift the elided restore would
-	// have missed — the soundness net under Interproc.
-	AuditRestore bool
 	// Stop, when non-nil, makes RunFor/RunExecs return cleanly (at a
 	// checkpointable boundary) once the channel is closed.
 	Stop <-chan struct{}
@@ -272,8 +255,6 @@ func instanceOptions(opts Options) core.InstanceOptions {
 		Jobs:                 opts.Jobs,
 		MaxShardRestarts:     opts.MaxShardRestarts,
 		ShardBackoff:         opts.ShardBackoff,
-		Interproc:            opts.Interproc,
-		AuditRestore:         opts.AuditRestore,
 		AutoDict:             opts.AutoDict,
 		Backend:              opts.Backend,
 		SentinelCrossBackend: opts.SentinelCrossBackend,
@@ -281,9 +262,6 @@ func instanceOptions(opts Options) core.InstanceOptions {
 	}
 	if opts.Sanitize {
 		io.Sanitize = core.SanitizeElide
-		if opts.SanitizeNoElide {
-			io.Sanitize = core.SanitizeNoElide
-		}
 	}
 	if opts.SentinelEvery > 0 || opts.ResumeFrom != nil {
 		// Probe replays and resumed runs must reproduce executions

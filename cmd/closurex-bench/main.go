@@ -2,9 +2,9 @@
 // configurable (scaled) budget: Tables 3-7, the execution-mechanism
 // spectrum figure, the stale-state pathology demonstration, and the
 // restoration ablations; and it runs the table-driven campaign sweeps
-// (parallel scaling, compiled tier, sanitizer, restore elision,
-// auto-dictionary, synthesized harnesses, chaos), exiting nonzero after
-// writing the report when a sweep's gate fails.
+// (parallel scaling, compiled tier, sanitizer, auto-dictionary,
+// synthesized harnesses, chaos), exiting nonzero after writing the report
+// when a sweep's gate fails.
 //
 // Usage:
 //

@@ -63,10 +63,7 @@ func main() {
 	var (
 		lint      = flag.Bool("lint", false, "run the static restore-completeness lints and refuse to fuzz a module that fails them")
 		sanitize  = flag.Bool("sanitize", false, "arm the heap sanitizer (shadow memory, redzones, free quarantine; statically elides provably safe checks)")
-		noElide   = flag.Bool("sanitize-no-elide", false, "with -sanitize: keep every check, disabling the static elision analysis (benchmark configuration)")
-		interproc = flag.Bool("interproc", false, "arm interprocedural restore elision: snapshot/restore/watch only the analysis-proven may-written global ranges")
 		autoDict  = flag.Bool("auto-dict", false, "merge the statically harvested auto-dictionary (input-dataflow compare constants) into the mutation dictionary")
-		auditRest = flag.Bool("audit-restore", false, "periodically re-check the full closure section at runtime to validate elision soundness")
 		sentEvery = flag.Int64("sentinel-every", 0, "divergence sentinel period in execs (0 = off)")
 		ckptPath  = flag.String("checkpoint", "", "write campaign checkpoints to this file (periodically and on exit/signal)")
 		ckptEvery = flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (with -checkpoint)")
@@ -104,9 +101,6 @@ func main() {
 		TransvalOff:          *transval == "off",
 		Seed:                 *seed,
 		Sanitize:             *sanitize,
-		SanitizeNoElide:      *noElide,
-		Interproc:            *interproc,
-		AuditRestore:         *auditRest,
 		AutoDict:             *autoDict,
 		SentinelEvery:        *sentEvery,
 		Stop:                 stop,

@@ -12,10 +12,12 @@
 // vs. elided memory accesses is printed after the lint verdict (the
 // CLX111-113 sanitizer verifier rules run as part of the gate).
 //
-// With -interproc-report the module is built with InterprocPass armed and
-// a per-function table of the interprocedural mod/ref + lifetime results
-// is printed: global-write scope, may-exit, and heap/file sites elided vs.
-// tracked (the CLX114-118 elision audit rules run as part of the gate).
+// With -interproc-report the interprocedural call-graph and mod/ref
+// analysis runs over the built module (no pass is added to the build): its
+// explanation warnings (CLX115 call-graph holes, CLX116 unattributable
+// global writes, CLX118 unreachable functions) join the module's findings,
+// and a per-function table of reachability, transitive global writes and
+// may-exit is printed after the lint verdict.
 //
 // With -harness-report the harness-quality audit runs after the gate:
 // static reachability from target_main (CLX119 dead harness surface),
@@ -101,7 +103,7 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-module OK lines")
 		strict     = flag.Bool("strict", false, "exit non-zero on warning-severity diagnostics too")
 		sanReport  = flag.Bool("sanitize-report", false, "instrument with the sanitizer and print per-function check/elision counts")
-		ipReport   = flag.Bool("interproc-report", false, "instrument with InterprocPass and print the per-function restore-elision table")
+		ipReport   = flag.Bool("interproc-report", false, "run the interprocedural mod/ref analysis (CLX115/116/118) and print the per-function table")
 		haReport   = flag.Bool("harness-report", false, "run the harness-quality audit (CLX119-121) and print per-target score cards")
 		haJSON     = flag.String("harness-json", "", "write the harness score cards as a JSON array to this path (implies -harness-report)")
 		tvReport   = flag.Bool("transval", false, "run translation validation of the compiled tier (CLX123-127) as part of the gate")
@@ -157,7 +159,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := core.BuildConfig{Variant: v, Interproc: *ipReport}
+	cfg := core.BuildConfig{Variant: v}
 	if *sanReport {
 		cfg.Sanitize = core.SanitizeElide
 	}
@@ -175,6 +177,12 @@ func main() {
 			continue
 		}
 		ds := core.CheckModule(mod, v)
+		var ipRep *interproc.Report
+		if *ipReport {
+			ipRep = interproc.ReportModule(mod)
+			ds = append(ds, ipRep.Diags...)
+			ds.Sort()
+		}
 		var card *harnessaudit.Card
 		if audit {
 			c, ads := harnessaudit.Audit(j.name, mod, harnessaudit.Options{Dict: j.dict})
@@ -254,9 +262,8 @@ func main() {
 			rep := sanitize.ReportModule(mod)
 			fmt.Printf("sanitizer check elision for %s:\n%s", j.name, rep.Format())
 		}
-		if *ipReport {
-			rep := interproc.ReportModule(mod)
-			fmt.Printf("interprocedural restore elision for %s:\n%s", j.name, rep.Format())
+		if ipRep != nil {
+			fmt.Printf("interprocedural mod/ref for %s:\n%s", j.name, ipRep.Format())
 		}
 	}
 	if jsonOut {
@@ -331,7 +338,7 @@ func printCatalog() {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	fmt.Println("ClosureX diagnostic catalog (lints CLX001+, verifier CLX101+, audits CLX114+):")
+	fmt.Println("ClosureX diagnostic catalog (lints CLX001+, verifier CLX101+, audits CLX115+):")
 	for _, id := range ids {
 		fmt.Printf("  %s  %s\n", id, cat[id])
 	}

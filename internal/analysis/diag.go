@@ -324,11 +324,9 @@ func Catalog() map[string]string {
 		IDBadSanCheck:      "malformed shadow check (direction operand not read/write)",
 		IDOrphanCheck:      "shadow check not immediately followed by its matching load/store",
 		IDUncheckedAcc:     "sanitized module has a load/store neither checked nor elision-marked",
-		IDUnsoundElision:   "`TrackElide`/`FileElide` mark not provable on re-analysis — an unsound elision claim that would leak state",
-		IDCallGraphHole:    "call with unknown effects (callee neither module function nor modeled builtin); analysis degrades to whole-section scope",
-		IDGlobalEscape:     "global write unattributable (unknown pointer or unbounded callee write); analysis degrades to whole-section scope",
-		IDElisionDrift:     "recorded may-write metadata drifted from the re-derived analysis (narrowed set, false bounded claim, stale site counters)",
-		IDUnreachableFn:    "function unreachable from `target_main`/`closurex_init` (excluded from the restore-scope analysis)",
+		IDCallGraphHole:    "call with unknown effects (callee neither module function nor modeled builtin); the caller's mod/ref summary treats every global as may-written",
+		IDGlobalEscape:     "global write unattributable (unknown pointer or unbounded callee write); the mod/ref summary treats every global as may-written",
+		IDUnreachableFn:    "function unreachable from `target_main`/`closurex_init` (excluded from the mod/ref summaries)",
 		IDDeadSurface:      "dead harness surface — function or block unreachable from `target_main` on any interprocedural path",
 		IDCovSaturation:    "coverage geometry degraded — probe saturation or collision displacement high enough to mask new coverage",
 		IDDeadDictToken:    "dead dictionary token — no input-dataflow path carries its bytes into any comparison",

@@ -12,12 +12,12 @@ import (
 func scrambledFindings() Diags {
 	m := Diags{}
 	m.Add("zeta.c", Diagnostics{
-		{ID: "CLX116", Sev: SevWarn, Pass: "InterprocPass", Func: "helper", Block: 2, Instr: 1, Msg: "b"},
-		{ID: "CLX114", Sev: SevError, Pass: "InterprocPass", Func: "helper", Block: 0, Instr: 3, Msg: "a"},
-		{ID: "CLX114", Sev: SevError, Pass: "InterprocPass", Func: "helper", Block: 0, Instr: 1, Msg: "c"},
+		{ID: "CLX116", Sev: SevWarn, Pass: "interproc", Func: "helper", Block: 2, Instr: 1, Msg: "b"},
+		{ID: "CLX115", Sev: SevWarn, Pass: "interproc", Func: "helper", Block: 0, Instr: 3, Msg: "a"},
+		{ID: "CLX115", Sev: SevWarn, Pass: "interproc", Func: "helper", Block: 0, Instr: 1, Msg: "c"},
 	})
 	m.Add("alpha.c", Diagnostics{
-		{ID: "CLX118", Sev: SevWarn, Pass: "InterprocPass", Func: "orphan", Block: -1, Instr: -1, Msg: "d"},
+		{ID: "CLX118", Sev: SevWarn, Pass: "interproc", Func: "orphan", Block: -1, Instr: -1, Msg: "d"},
 		{ID: "CLX101", Sev: SevError, Pass: "verifier", Func: "main", Block: 1, Instr: 0, Msg: "e"},
 	})
 	return m

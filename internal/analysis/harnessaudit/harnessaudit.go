@@ -1,7 +1,7 @@
 // Package harnessaudit scores the quality of a fuzzing harness from its
-// lowered module — the third analysis client on the interprocedural call
-// graph (analysis/interproc) and the dataflow framework (analysis), after
-// the sanitizer elision and restore-elision analyses.
+// lowered module — a client of the interprocedural call graph
+// (analysis/interproc) and the dataflow framework (analysis), next to the
+// sanitizer's check-elision analysis.
 //
 // A harness can be perfectly *correct* (restartable, restore-complete) and
 // still fuzz badly: functions the entry point can never reach contribute

@@ -60,10 +60,10 @@ func isRegion(k kind) bool {
 }
 
 // funcCtx caches the per-function machinery (CFG, reaching definitions,
-// abstract-value memoization, pointer must-alias chasing) shared by the
-// mod/ref and lifetime analyses. The memoized values depend only on the
-// function body, never on callee summaries, so one context is valid for
-// the lifetime of the analysis.
+// abstract-value memoization) the mod/ref analysis shares across its
+// fixpoint rounds. The memoized values depend only on the function body,
+// never on callee summaries, so one context is valid for the whole
+// analysis.
 type funcCtx struct {
 	m   *ir.Module
 	f   *ir.Func
@@ -73,9 +73,6 @@ type funcCtx struct {
 
 	memo   map[int]absVal
 	inProg map[int]bool
-
-	ptrMemo   map[int]int
-	ptrInProg map[int]bool
 
 	// rets resolves callee return-value intervals (shared across the
 	// module's contexts); cls caches the lazily-computed region classes.
@@ -94,10 +91,8 @@ func newFuncCtx(m *ir.Module, f *ir.Func) *funcCtx {
 	}
 	return &funcCtx{
 		m: m, f: f, cfg: cfg, rd: rd, idx: idx,
-		memo:      make(map[int]absVal),
-		inProg:    make(map[int]bool),
-		ptrMemo:   make(map[int]int),
-		ptrInProg: make(map[int]bool),
+		memo:   make(map[int]absVal),
+		inProg: make(map[int]bool),
 	}
 }
 
@@ -295,39 +290,4 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-// chasePtr resolves a definition site through OpMov chains to the site
-// that originally produced the value — the must-alias resolution the
-// lifetime analysis uses to recognize that a free/fclose argument is
-// exactly a given allocation's result. Anything other than a pure mov
-// chain (arithmetic, merges) stops the chase at the defining site itself.
-func (fc *funcCtx) chasePtr(site int) int {
-	if site < 0 {
-		return -1
-	}
-	if v, ok := fc.ptrMemo[site]; ok {
-		return v
-	}
-	if fc.ptrInProg[site] {
-		return -1 // loop-carried mov cycle: no unique origin
-	}
-	fc.ptrInProg[site] = true
-	out := site
-	s := fc.rd.Sites[site]
-	if s.Block >= 0 {
-		in := &fc.f.Blocks[s.Block].Instrs[s.Instr]
-		if in.Op == ir.OpMov {
-			out = fc.chasePtr(fc.useSite(s.Block, s.Instr, in.A))
-		}
-	}
-	delete(fc.ptrInProg, site)
-	fc.ptrMemo[site] = out
-	return out
-}
-
-// resolvePtr resolves register r, as read at (bi, ii), to the definition
-// site it must alias (through mov chains), or -1.
-func (fc *funcCtx) resolvePtr(bi, ii, r int) int {
-	return fc.chasePtr(fc.useSite(bi, ii, r))
 }

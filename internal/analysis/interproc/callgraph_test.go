@@ -3,6 +3,7 @@ package interproc
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"closurex/internal/analysis"
@@ -158,5 +159,40 @@ func TestAnalyzeNoRootsWholeSection(t *testing.T) {
 	}
 	if len(res.Roots) != 0 {
 		t.Fatalf("Roots = %v, want none", res.Roots)
+	}
+}
+
+// reportModule is target_main with one bounded global write plus an
+// orphan function nothing calls (one CLX118 explanation warning).
+func reportModule(t *testing.T) *ir.Module {
+	t.Helper()
+	b := ir.NewBuilder("target_main", 0)
+	gp := b.GlobalAddr(0)
+	v := b.Const(3)
+	b.Store(gp, v, 0, 4)
+	z := b.Const(0)
+	b.Ret(z)
+	return testModule(t, 2, b, retConst("orphan", 0))
+}
+
+func TestReportModuleShape(t *testing.T) {
+	rep := ReportModule(reportModule(t))
+	if rep.WholeSection {
+		t.Fatal("report claims unbounded writes for a bounded module")
+	}
+	if rep.MayWriteGlobals != 1 || rep.TotalGlobals != 2 {
+		t.Fatalf("scope = %d/%d, want 1/2", rep.MayWriteGlobals, rep.TotalGlobals)
+	}
+	if len(rep.Funcs) != 2 || rep.Funcs[0].Name != "orphan" || rep.Funcs[1].Name != "target_main" {
+		t.Fatalf("rows = %+v", rep.Funcs)
+	}
+	if row := rep.Funcs[1]; !row.Reachable || row.GlobalWrites != 1 || row.MayExit {
+		t.Fatalf("target_main row = %+v", row)
+	}
+	if len(rep.Diags) != 1 || rep.Diags[0].ID != analysis.IDUnreachableFn || rep.Diags[0].Func != "orphan" {
+		t.Fatalf("diags = %v, want one CLX118 on orphan", rep.Diags)
+	}
+	if out := rep.Format(); !strings.Contains(out, "global writes: 1/2 globals may-written") {
+		t.Fatalf("rendering lacks the scope line:\n%s", out)
 	}
 }

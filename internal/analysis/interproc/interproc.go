@@ -1,13 +1,11 @@
-// Package interproc implements the interprocedural mod/ref and lifetime
-// analyses behind restore elision: a call-graph construction over lowered
-// modules, per-function transitive may-write summaries over
-// closure_global_section, and must-release proofs for allocation and
-// fopen sites — so the harness can snapshot, watch-track and restore only
-// state the target can actually dirty. Every claim the analysis stamps
-// into ir.Module.Interproc (and the TrackElide/FileElide instruction
-// marks) is re-derivable from scratch by Audit, which is how unsound
-// elisions become verifier errors (CLX114/CLX117) instead of silent
-// correctness drift.
+// Package interproc implements the interprocedural analyses over lowered
+// modules: a call-graph construction and per-function transitive mod/ref
+// summaries of writes to closure_global_section (plus may-exit). The
+// harness-quality audit reads the call graph for its reachability facts
+// (CLX119), the harness synthesizer reads the summaries to pick arm
+// closures and init preconditions, and closurex-lint -interproc-report
+// prints the per-function table together with the explanation warnings
+// (CLX115/116/118) for every summary the analysis could not bound.
 package interproc
 
 import (
@@ -21,7 +19,7 @@ import (
 
 // interprocPass is the Pass attribution carried by this package's
 // diagnostics.
-const interprocPass = "InterprocPass"
+const interprocPass = "interproc"
 
 // initFunc mirrors passes.InitFunc — the deferred-initialization routine
 // the harness invokes directly, hence an analysis root. Declared here
@@ -32,12 +30,6 @@ const initFunc = "closurex_init"
 type FuncResult struct {
 	Summary   *Summary
 	Reachable bool
-	// HeapSites/FileSites list every tracked site in textual order;
-	// HeapElide/FileElide the subset proven releasable on all paths.
-	HeapSites []Site
-	HeapElide map[Site]bool
-	FileSites []Site
-	FileElide map[Site]bool
 }
 
 // Result is the whole-module analysis outcome.
@@ -50,15 +42,16 @@ type Result struct {
 	// function may write. Meaningless when WholeSection is set.
 	MayWriteGlobals []int
 	// WholeSection is set when some reachable function's global writes
-	// could not be bounded, or when no root was found.
+	// could not be bounded, or when no root was found: every global in the
+	// section must then be treated as may-written.
 	WholeSection bool
 	// Diags carries the explanation warnings: CLX115 call-graph holes,
 	// CLX116 unattributable global writes, CLX118 unreachable functions.
 	Diags analysis.Diagnostics
 }
 
-// Analyze runs the call graph, mod/ref fixpoint and lifetime analyses
-// over m. The module is not modified; Apply stamps the results.
+// Analyze runs the call graph and mod/ref fixpoint analyses over m. The
+// module is not modified.
 func Analyze(m *ir.Module) *Result {
 	res := &Result{
 		Graph: BuildCallGraph(m),
@@ -104,25 +97,12 @@ func Analyze(m *ir.Module) *Result {
 		st.effects(ctxs[fn], &res.Diags)
 	}
 
-	mayExit := func(callee string) bool {
-		if s := sums[callee]; s != nil {
-			return s.MayExit
-		}
-		return true // no summary (unreachable from roots): assume the worst
-	}
-	ps := newParamSafety(m)
-
 	writes := map[int]bool{}
 	if len(res.Roots) == 0 {
 		res.WholeSection = true
 	}
 	for _, f := range m.Funcs {
-		fr := &FuncResult{
-			Reachable: reach[f.Name],
-			Summary:   sums[f.Name],
-			HeapElide: map[Site]bool{},
-			FileElide: map[Site]bool{},
-		}
+		fr := &FuncResult{Reachable: reach[f.Name], Summary: sums[f.Name]}
 		if fr.Summary == nil {
 			fr.Summary = newSummary()
 		}
@@ -143,23 +123,8 @@ func Analyze(m *ir.Module) *Result {
 			res.Diags = append(res.Diags, analysis.Diagnostic{
 				ID: analysis.IDUnreachableFn, Sev: analysis.SevWarn, Pass: interprocPass,
 				Func: f.Name, Block: -1, Instr: -1,
-				Msg: fmt.Sprintf("function unreachable from %s; its sites elide vacuously", strings.Join(res.Roots, "/")),
+				Msg: fmt.Sprintf("function unreachable from %s; excluded from the mod/ref summaries", strings.Join(res.Roots, "/")),
 			})
-		}
-
-		lt := &lifetime{fc: ctxs[f.Name], kind: heapLifetime, mayExit: mayExit, ps: ps}
-		fr.HeapSites = lifetimeSites(f, heapLifetime)
-		for _, s := range fr.HeapSites {
-			if !fr.Reachable || lt.elidable(s) {
-				fr.HeapElide[s] = true
-			}
-		}
-		lt = &lifetime{fc: ctxs[f.Name], kind: fileLifetime, mayExit: mayExit, ps: ps}
-		fr.FileSites = lifetimeSites(f, fileLifetime)
-		for _, s := range fr.FileSites {
-			if !fr.Reachable || lt.elidable(s) {
-				fr.FileElide[s] = true
-			}
 		}
 	}
 	for g := range writes {
@@ -179,43 +144,6 @@ func isRoot(roots []string, fn string) bool {
 	return false
 }
 
-// Info renders the result as the ir.InterprocInfo metadata InterprocPass
-// stamps on the module.
-func (res *Result) Info() *ir.InterprocInfo {
-	info := &ir.InterprocInfo{
-		MayWriteGlobals: append([]int(nil), res.MayWriteGlobals...),
-		WholeSection:    res.WholeSection,
-	}
-	names := sortedFuncNames(res.Funcs)
-	for _, fn := range names {
-		fr := res.Funcs[fn]
-		info.AllocSites += len(fr.HeapSites)
-		info.AllocElided += len(fr.HeapElide)
-		info.FileSites += len(fr.FileSites)
-		info.FileElided += len(fr.FileElide)
-	}
-	return info
-}
-
-// Apply stamps the analysis results onto the module: TrackElide/FileElide
-// marks on the proven sites and the ir.InterprocInfo metadata. It is how
-// passes.InterprocPass commits the analysis; Audit re-derives everything.
-func Apply(m *ir.Module, res *Result) {
-	for _, f := range m.Funcs {
-		fr := res.Funcs[f.Name]
-		if fr == nil {
-			continue
-		}
-		for s := range fr.HeapElide {
-			f.Blocks[s.Block].Instrs[s.Instr].TrackElide = true
-		}
-		for s := range fr.FileElide {
-			f.Blocks[s.Block].Instrs[s.Instr].FileElide = true
-		}
-	}
-	m.Interproc = res.Info()
-}
-
 func sortedFuncNames(m map[string]*FuncResult) []string {
 	out := make([]string, 0, len(m))
 	for fn := range m {
@@ -232,47 +160,34 @@ type FuncReport struct {
 	Name      string
 	Reachable bool
 	// GlobalWrites counts globals the function's transitive summary may
-	// write; -1 renders as "whole-section".
+	// write; -1 renders as "unbounded".
 	GlobalWrites int
 	MayExit      bool
-	HeapSites    int
-	HeapElided   int
-	FileSites    int
-	FileElided   int
 }
 
-// Report aggregates the per-function tables plus module-level scope.
+// Report aggregates the per-function mod/ref table, the module-level
+// write scope and the explanation warnings (CLX115/116/118).
 type Report struct {
 	Funcs           []FuncReport
 	MayWriteGlobals int
 	TotalGlobals    int
 	WholeSection    bool
+	Diags           analysis.Diagnostics
 }
 
 // ReportModule analyzes m from scratch and builds the per-function table
 // — the closurex-lint -interproc-report entry point.
 func ReportModule(m *ir.Module) *Report {
-	return ReportResult(m, Analyze(m))
-}
-
-// ReportResult builds the lint report from an analysis result.
-func ReportResult(m *ir.Module, res *Result) *Report {
+	res := Analyze(m)
 	rep := &Report{
 		MayWriteGlobals: len(res.MayWriteGlobals),
 		TotalGlobals:    len(m.Globals),
 		WholeSection:    res.WholeSection,
+		Diags:           res.Diags,
 	}
 	for _, fn := range sortedFuncNames(res.Funcs) {
 		fr := res.Funcs[fn]
-		row := FuncReport{
-			Name:       fn,
-			Reachable:  fr.Reachable,
-			MayExit:    fr.Summary.MayExit,
-			HeapSites:  len(fr.HeapSites),
-			HeapElided: len(fr.HeapElide),
-			FileSites:  len(fr.FileSites),
-			FileElided: len(fr.FileElide),
-		}
+		row := FuncReport{Name: fn, Reachable: fr.Reachable, MayExit: fr.Summary.MayExit}
 		if fr.Summary.Unknown {
 			row.GlobalWrites = -1
 		} else {
@@ -288,11 +203,10 @@ func (r *Report) Format() string {
 	var sb strings.Builder
 	scope := fmt.Sprintf("%d/%d globals may-written", r.MayWriteGlobals, r.TotalGlobals)
 	if r.WholeSection {
-		scope = "whole-section (writes not bounded)"
+		scope = "unbounded (every global may be written)"
 	}
-	fmt.Fprintf(&sb, "restore scope: %s\n", scope)
-	fmt.Fprintf(&sb, "%-24s %5s %8s %7s %11s %11s\n",
-		"function", "reach", "gwrites", "mayexit", "heap e/n", "file e/n")
+	fmt.Fprintf(&sb, "global writes: %s\n", scope)
+	fmt.Fprintf(&sb, "%-24s %5s %9s %7s\n", "function", "reach", "gwrites", "mayexit")
 	for _, fr := range r.Funcs {
 		reach, exits := "yes", "no"
 		if !fr.Reachable {
@@ -303,11 +217,9 @@ func (r *Report) Format() string {
 		}
 		gw := fmt.Sprintf("%d", fr.GlobalWrites)
 		if fr.GlobalWrites < 0 {
-			gw = "whole"
+			gw = "unbounded"
 		}
-		fmt.Fprintf(&sb, "%-24s %5s %8s %7s %5d/%-5d %5d/%-5d\n",
-			fr.Name, reach, gw, exits,
-			fr.HeapElided, fr.HeapSites, fr.FileElided, fr.FileSites)
+		fmt.Fprintf(&sb, "%-24s %5s %9s %7s\n", fr.Name, reach, gw, exits)
 	}
 	return sb.String()
 }

@@ -102,7 +102,7 @@ func (s *Summary) Globals() []int {
 
 // builtinEffect describes one modeled builtin's memory behavior. Builtins
 // absent from the table are call-graph holes: their effects are unknown
-// and any caller degrades to whole-section (CLX115).
+// and any caller's summary is unbounded (CLX115).
 type builtinEffect struct {
 	// writesPtrArg is the argument index of a destination pointer the
 	// builtin writes through, or -1 when it writes no target memory.
@@ -243,7 +243,7 @@ func (st *modRefState) effects(fc *funcCtx, diags *analysis.Diagnostics) *Summar
 					*diags = append(*diags, analysis.Diagnostic{
 						ID: analysis.IDGlobalEscape, Sev: analysis.SevWarn, Pass: interprocPass,
 						Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
-						Msg: fmt.Sprintf("store through unresolvable pointer (width %d); globals must be treated as whole-section may-written", in.Size),
+						Msg: fmt.Sprintf("store through unresolvable pointer (width %d); every global must be treated as may-written", in.Size),
 					})
 				}
 			case ir.OpCall:
@@ -329,7 +329,7 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 				*diags = append(*diags, analysis.Diagnostic{
 					ID: analysis.IDGlobalEscape, Sev: analysis.SevWarn, Pass: interprocPass,
 					Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
-					Msg: fmt.Sprintf("call %s may write through argument %d, which the caller cannot bound; globals degrade to whole-section", in.Callee, p),
+					Msg: fmt.Sprintf("call %s may write through argument %d, which the caller cannot bound; every global must be treated as may-written", in.Callee, p),
 				})
 			}
 		}
@@ -392,7 +392,7 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 		*diags = append(*diags, analysis.Diagnostic{
 			ID: analysis.IDCallGraphHole, Sev: analysis.SevWarn, Pass: interprocPass,
 			Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
-			Msg: fmt.Sprintf("builtin %s writes through an unresolvable destination; globals degrade to whole-section", in.Callee),
+			Msg: fmt.Sprintf("builtin %s writes through an unresolvable destination; every global must be treated as may-written", in.Callee),
 		})
 	}
 }

@@ -6,7 +6,16 @@ import (
 
 	"closurex/internal/analysis"
 	"closurex/internal/ir"
+	"closurex/internal/vm"
 )
+
+// The region-class proofs hold only for executions of at most BudgetCap
+// instructions; the VM's default budget must stay inside that bound.
+func TestDefaultBudgetWithinCap(t *testing.T) {
+	if vm.DefaultBudget > BudgetCap {
+		t.Fatalf("vm.DefaultBudget = %d exceeds BudgetCap = %d", vm.DefaultBudget, BudgetCap)
+	}
+}
 
 func TestModRefBoundedGlobalWrite(t *testing.T) {
 	// target_main writes global 0 in bounds and never touches global 1:
@@ -104,7 +113,7 @@ func TestModRefHeapLoopFallback(t *testing.T) {
 	// A loop-carried heap store: the interval analysis loses the index at
 	// the merge (two reaching defs -> top), and the region classifier must
 	// recover "heap base + non-negative offset" so the store is proven
-	// clean of globals. The chunk is freed, so the site also elides.
+	// clean of globals.
 	b := ir.NewBuilder("target_main", 0)
 	sz := b.Const(8)
 	p := b.Call("malloc", sz)
@@ -139,10 +148,6 @@ func TestModRefHeapLoopFallback(t *testing.T) {
 	}
 	if len(res.MayWriteGlobals) != 0 {
 		t.Fatalf("MayWriteGlobals = %v, want empty", res.MayWriteGlobals)
-	}
-	fr := res.Funcs["target_main"]
-	if len(fr.HeapSites) != 1 || len(fr.HeapElide) != 1 {
-		t.Fatalf("heap sites %d elided %d, want 1/1", len(fr.HeapSites), len(fr.HeapElide))
 	}
 }
 

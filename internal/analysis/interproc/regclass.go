@@ -19,8 +19,7 @@ import (
 // Soundness of the region classes rests on a counting argument against
 // int64 wraparound, since a wrapped heap address could land back inside
 // the globals segment. With the execution budget capped at
-// ir.InterprocBudgetCap (2^26) instructions — the harness refuses to arm
-// elision above it — the invariants are:
+// BudgetCap (2^26) instructions, the invariants are:
 //
 //	small  value in [0, hi], hi <= 2^32
 //	nn     value is a sum of at most n "chains", each a seed <= 2^40
@@ -38,6 +37,23 @@ import (
 // sums their chain counts (which is what defeats the doubling attack
 // `x += x`: the count climbs to the cap and collapses to top), while
 // adding a small absorbs it into an existing chain for free.
+
+// BudgetCap is the largest per-execution instruction budget under which
+// the region-class counting argument above holds. vm.DefaultBudget stays
+// below it (TestDefaultBudgetWithinCap).
+const BudgetCap = int64(1) << 26
+
+// allocCallees maps heap allocation callees (raw and wrapped) to true;
+// their results are heap-based.
+var allocCallees = map[string]bool{
+	"malloc": true, "closurex_malloc": true,
+	"calloc": true, "closurex_calloc": true,
+}
+
+// reallocCallees return a heap pointer too (or NULL).
+var reallocCallees = map[string]bool{
+	"realloc": true, "closurex_realloc": true,
+}
 
 type rkind uint8
 

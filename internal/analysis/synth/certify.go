@@ -19,7 +19,6 @@ import (
 
 	"closurex/internal/analysis"
 	"closurex/internal/analysis/harnessaudit"
-	"closurex/internal/analysis/interproc"
 	"closurex/internal/analysis/sanitize"
 	"closurex/internal/ir"
 	"closurex/internal/lower"
@@ -94,7 +93,6 @@ func certify(target, file, src string) (*ir.Module, analysis.Diagnostics) {
 
 	// The same verifier + lint catalog hand-written harnesses pass.
 	vds := analysis.Verify(mod, vm.Builtins())
-	vds = append(vds, interproc.Audit(mod)...)
 	if !vds.HasErrors() {
 		vds = append(vds, analysis.Lint(mod)...)
 	}

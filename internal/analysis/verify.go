@@ -24,14 +24,13 @@ const (
 	IDOrphanCheck   = "CLX112" // sancheck not immediately followed by its matching load/store
 	IDUncheckedAcc  = "CLX113" // sanitized module has a load/store neither checked nor elision-marked
 
-	// Interprocedural elision audit catalog (analysis/interproc). The
-	// error IDs gate campaigns exactly like the structural verifier; the
-	// warnings explain why a module's restore scope could not shrink.
-	IDUnsoundElision = "CLX114" // TrackElide/FileElide mark not provable on re-analysis
-	IDCallGraphHole  = "CLX115" // call with unknown effects; analysis degrades to whole-section
-	IDGlobalEscape   = "CLX116" // global write unattributable (unknown pointer or unbounded callee write)
-	IDElisionDrift   = "CLX117" // recorded may-write metadata omits an analysis-proven write
-	IDUnreachableFn  = "CLX118" // function unreachable from target_main/closurex_init
+	// Interprocedural mod/ref explanation warnings (analysis/interproc):
+	// why a function's global-write summary could not be bounded. CLX114
+	// and CLX117 are retired (they audited the removed restore elision);
+	// the numbers are not reused.
+	IDCallGraphHole = "CLX115" // call with unknown effects; the caller's mod/ref summary is unbounded
+	IDGlobalEscape  = "CLX116" // global write unattributable (unknown pointer or unbounded callee write)
+	IDUnreachableFn = "CLX118" // function unreachable from target_main/closurex_init
 
 	// Call pre-resolution audit (vm.ResolveModule stamps CalleeIdx at
 	// module-commit time; both execution backends dispatch through it).

@@ -25,6 +25,30 @@ const (
 	backendDiffExecs = 600
 )
 
+// campaignObs is everything observable about a finished campaign that does
+// not depend on wall-clock time (Entry.FoundAt does, so whole-checkpoint
+// byte comparison would be flaky; the coverage map, corpus inputs and
+// fault buckets are the deterministic core).
+type campaignObs struct {
+	edges   int
+	bitmap  []byte
+	queue   [][]byte
+	crashes []string
+	hangs   []string
+}
+
+func equalKeys(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // backendMode is one instrumentation configuration of the matrix.
 type backendMode struct {
 	name string
@@ -38,9 +62,6 @@ func backendModes() []backendMode {
 		}},
 		{"sanitize", func() InstanceOptions {
 			return InstanceOptions{Sanitize: SanitizeElide}
-		}},
-		{"interproc", func() InstanceOptions {
-			return InstanceOptions{Interproc: true}
 		}},
 		// Injected restore faults drive both campaigns through the same
 		// degraded-restore handling; the injector is count-based, so the

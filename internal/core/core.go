@@ -13,7 +13,6 @@ import (
 
 	"closurex/internal/analysis"
 	"closurex/internal/analysis/harnessaudit"
-	"closurex/internal/analysis/interproc"
 	"closurex/internal/analysis/transval"
 	"closurex/internal/execmgr"
 	"closurex/internal/faultinject"
@@ -78,11 +77,6 @@ func TargetInitErrors() []error { return targets.InitErrors() }
 // constant across mechanisms).
 const CoverageSeed = 0xC105
 
-// AuditEveryDefault is the -audit-restore cadence: one full-section
-// elision audit per this many iterations (matching the resilience layer's
-// default watchdog cadence).
-const AuditEveryDefault = 64
-
 // Compile lowers MinC source to a pristine, verified module. The module is
 // call-resolved so even pristine executions dispatch through cached callee
 // indices.
@@ -125,13 +119,6 @@ func (s SanitizeMode) Enabled() bool { return s != SanitizeOff }
 type BuildConfig struct {
 	Variant  Variant
 	Sanitize SanitizeMode
-	// Interproc inserts passes.InterprocPass after the state-tracking
-	// pipeline: the interprocedural mod/ref + lifetime analysis stamps
-	// restore-elision metadata (may-write global set, TrackElide/FileElide
-	// marks) the harness scopes its snapshot/restore/watchdog work to.
-	// Only meaningful for the ClosureX variants; silently ignored
-	// elsewhere (baseline/pristine builds have no restore loop to scope).
-	Interproc bool
 }
 
 // Instrument applies the variant's pipeline to a clone of m, leaving m
@@ -147,26 +134,18 @@ func InstrumentSanitized(m *ir.Module, v Variant, san SanitizeMode) (*ir.Module,
 }
 
 // InstrumentWith applies the configured pipeline to a clone of m. The
-// ordering contract: InterprocPass runs right after the state-restoration
-// pipeline (its proofs are about the closurex_* call shape that pipeline
-// produces), SanitizerPass after that (so every access it instruments is
-// final), and CoveragePass last — it only prepends probes at block heads,
-// preserving both the check-immediately-precedes-access adjacency
-// (CLX112/CLX113) and the elision marks' site geometry (CLX114 re-audits
-// them under VerifyEach). Because neither InterprocPass nor SanitizerPass
-// creates blocks, coverage probe IDs — and hence bitmap geometry — are
-// identical across sanitizer and interproc modes.
+// ordering contract: SanitizerPass runs after the state-restoration
+// pipeline (so every access it instruments is final), and CoveragePass
+// last — it only prepends probes at block heads, preserving the
+// check-immediately-precedes-access adjacency (CLX112/CLX113). Because
+// SanitizerPass creates no blocks, coverage probe IDs — and hence bitmap
+// geometry — are identical across sanitizer modes.
 func InstrumentWith(m *ir.Module, cfg BuildConfig) (*ir.Module, error) {
 	out := m.Clone()
 	pm := passes.NewManager(vm.Builtins()).VerifyEach(verifyEachDefault)
 	addSan := func() {
 		if cfg.Sanitize.Enabled() {
 			pm.Add(passes.SanitizerPass{Elide: cfg.Sanitize == SanitizeElide})
-		}
-	}
-	addInterproc := func() {
-		if cfg.Interproc {
-			pm.Add(passes.InterprocPass{})
 		}
 	}
 	switch cfg.Variant {
@@ -181,12 +160,10 @@ func InstrumentWith(m *ir.Module, cfg BuildConfig) (*ir.Module, error) {
 		pm.Add(passes.NewCoveragePass(CoverageSeed))
 	case ClosureX:
 		pm.Add(passes.ClosureXPipeline(false)...)
-		addInterproc()
 		addSan()
 		pm.Add(passes.NewCoveragePass(CoverageSeed))
 	case ClosureXDeferInit:
 		pm.Add(passes.ClosureXPipeline(true)...)
-		addInterproc()
 		addSan()
 		pm.Add(passes.NewCoveragePass(CoverageSeed))
 	default:
@@ -222,15 +199,9 @@ func BuildWith(file, src string, cfg BuildConfig) (*ir.Module, error) {
 }
 
 // VerifyModule runs the deep analysis verifier (structural invariants plus
-// definite-assignment dataflow) over m with the VM's builtin set, plus the
-// interprocedural elision audit: every TrackElide/FileElide mark and the
-// recorded may-write metadata must be re-derivable from the module as it
-// stands (CLX114/CLX117 on drift).
+// definite-assignment dataflow) over m with the VM's builtin set.
 func VerifyModule(m *ir.Module) analysis.Diagnostics {
-	ds := analysis.Verify(m, vm.Builtins())
-	ds = append(ds, interproc.Audit(m)...)
-	ds.Sort()
-	return ds
+	return analysis.Verify(m, vm.Builtins())
 }
 
 // LintModule runs the restore-completeness lints appropriate for a build
@@ -317,18 +288,6 @@ type InstanceOptions struct {
 	// unnecessary under SanitizeElide) and every VM — including the
 	// sentinel's fresh reference image — attaches shadow memory.
 	Sanitize SanitizeMode
-	// Interproc arms restore elision end to end: the build runs
-	// passes.InterprocPass and the ClosureX harness scopes its global
-	// snapshot/restore/watchdog work to the analysis-proven may-write
-	// ranges (harness.Options.ElideRestore). Coverage bitmaps and corpora
-	// are bit-identical with and without it — only restore bandwidth and
-	// bookkeeping change.
-	Interproc bool
-	// AuditRestore arms the runtime elision audit: every AuditEveryDefault
-	// iterations the harness re-checks the full closure section (and the
-	// must-free/must-close censuses) against the init snapshot, repairing
-	// and surfacing an ErrAudit on any drift the elided restore missed.
-	AuditRestore bool
 	// Injector arms fault injection across the VM and harness.
 	Injector *faultinject.Injector
 	// Stop propagates a supervisor's shutdown request into the campaign.
@@ -414,11 +373,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	if variant == ClosureX && opts.DeferInit {
 		variant = ClosureXDeferInit
 	}
-	mod, err := BuildWith(t.Short+".c", t.Source, BuildConfig{
-		Variant:   variant,
-		Sanitize:  opts.Sanitize,
-		Interproc: opts.Interproc,
-	})
+	mod, err := BuildWith(t.Short+".c", t.Source, BuildConfig{Variant: variant, Sanitize: opts.Sanitize})
 	if err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", t.Name, err)
 	}
@@ -432,18 +387,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 			return nil, fmt.Errorf("core: %s: compiled tier uncertified (rerun with -transval=off to override): %w",
 				t.Name, terr)
 		}
-	}
-	hopts := opts.HarnessOpts
-	if opts.Interproc || opts.AuditRestore {
-		h := harness.FullRestore()
-		if hopts != nil {
-			h = *hopts
-		}
-		h.ElideRestore = h.ElideRestore || opts.Interproc
-		if opts.AuditRestore && h.AuditEvery <= 0 {
-			h.AuditEvery = AuditEveryDefault
-		}
-		hopts = &h
 	}
 	pages := t.ImagePages
 	switch {
@@ -464,7 +407,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 			Budget:            opts.Budget,
 			ImagePages:        pages,
 			TraceEdges:        opts.TraceEdges,
-			HarnessOpts:       hopts,
+			HarnessOpts:       opts.HarnessOpts,
 			Files:             opts.Files,
 			Injector:          opts.Injector,
 			DeterministicRand: opts.DeterministicRand,

@@ -312,7 +312,6 @@ func Sweeps() []Sweep {
 		{Name: "parallel", Execs: 20000, Plan: planParallel},
 		{Name: "compile", Execs: 20000, Plan: planCompile},
 		{Name: "sanitizer", Execs: 20000, Plan: planSanitizer},
-		{Name: "elision", Execs: 20000, Plan: planElision},
 		{Name: "dict", Execs: 20000, Plan: planDict},
 		{Name: "synth", Execs: 10000, Plan: planSynth},
 		{Name: "chaos", Execs: 20000, Plan: planChaos},
@@ -444,14 +443,6 @@ func planSanitizer(tgts []string) ([]Point, []Gate, error) {
 		}
 	}
 	return pts, nil, nil
-}
-
-// planElision: interprocedural restore elision off vs on; the campaigns
-// must end with identical coverage maps.
-func planElision(tgts []string) ([]Point, []Gate, error) {
-	pts := pairs(orDefault(tgts, targets.All()...), []string{"off", "on"},
-		func(m string) core.InstanceOptions { return core.InstanceOptions{Interproc: m == "on"} })
-	return pts, []Gate{IdentityGate("edges_match")}, nil
 }
 
 // planDict: auto-dictionary off vs on; every off-trial must reproduce the

@@ -30,12 +30,6 @@ var (
 	// ErrWatchdog wraps every post-restore invariant violation Verify
 	// detects — the image has drifted and must be quarantined/rebuilt.
 	ErrWatchdog = errors.New("harness: watchdog invariant violated")
-	// ErrAudit wraps every violation of an interprocedural elision proof
-	// observed at runtime: a byte outside the may-write scope drifted, or
-	// a must-free chunk / must-close descriptor survived a non-crashed
-	// iteration. Audit errors also wrap ErrWatchdog (multi-%w) so the
-	// recovery ladder's quarantine/rebuild reflex fires unchanged.
-	ErrAudit = errors.New("harness: elision audit violated")
 )
 
 // Options tunes which pieces of state the harness restores — the knobs the
@@ -54,19 +48,6 @@ type Options struct {
 	// sentinel cross-check it continuously); the flag only changes the
 	// restore-path bandwidth. Disabled means the original full byte-copy.
 	IncrementalRestore bool
-	// ElideRestore scopes the global snapshot/restore/watchdog work to the
-	// byte ranges the interprocedural analysis proved may be written
-	// (ir.Module.Interproc). It is a no-op — the full section is restored
-	// as before — when the module carries no metadata or the analysis
-	// could not bound the write set. Restored state is byte-identical
-	// either way as long as the proofs hold; AuditEvery cross-checks them
-	// at runtime.
-	ElideRestore bool
-	// AuditEvery, when positive, re-checks the FULL closure section (and
-	// the must-free/must-close censuses) against the init snapshot every N
-	// iterations, repairing and reporting an ErrAudit on any drift the
-	// elided restore would have missed. Zero disables auditing.
-	AuditEvery int
 	// Injector arms deterministic fault injection in the restore paths
 	// (resilience tests); nil injects nothing.
 	Injector *faultinject.Injector
@@ -96,20 +77,6 @@ type Stats struct {
 	// restore piggybacks on the same dirty-tracking idea as the closure
 	// section's incremental restore.
 	ShadowPagesRestored int64
-	// GlobalBytesElided counts bytes the scoped full-copy restore skipped
-	// relative to a whole-section copy (ElideRestore, non-incremental
-	// path) — the elision bandwidth saving.
-	GlobalBytesElided int64
-	// ElidedLeaks/ElidedFDLeaks count proof violations the restore sweeps
-	// observed: chunks from must-free allocation sites (respectively
-	// descriptors from must-close fopen sites) still live after a
-	// non-crashed iteration. Nonzero means the static analysis was wrong.
-	ElidedLeaks   int64
-	ElidedFDLeaks int64
-	// AuditRuns/AuditFailures count full-section elision audits and the
-	// subset that found drift outside the may-write scope (AuditEvery).
-	AuditRuns     int64
-	AuditFailures int64
 }
 
 // Harness wraps a VM whose module went through the ClosureX pipeline.
@@ -135,18 +102,6 @@ type Harness struct {
 	// persistent state — is test-case-execution-specific.
 	shadowSnap *mem.ShadowSnapshot
 	quarSnap   []mem.Chunk
-	// elide is set when ElideRestore was requested AND the module's
-	// interproc metadata bounds the may-write set; elideRanges are the
-	// merged section-relative byte ranges restore/verify then scope to
-	// (possibly empty: a target that writes no globals restores none).
-	elide       bool
-	elideRanges []vm.ByteRange
-	// lastCrashed records whether the most recent execution ended in a
-	// fault; the elided-leak censuses skip crashed iterations, whose
-	// targets never reached their free/fclose paths by construction.
-	lastCrashed bool
-	// sinceAudit counts iterations since the last full-section audit.
-	sinceAudit int
 	// restoreErr is the first error the most recent restore hit; the shard
 	// supervisor drains it via TakeRestoreError after each iteration.
 	restoreErr error
@@ -188,17 +143,6 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 			// complete by construction.
 			h.incremental = v.WatchSection(ir.SectionClosure)
 		}
-		if opts.ElideRestore && opts.RestoreGlobals && v.MaxBudget() <= ir.InterprocBudgetCap {
-			// Scope restore work to the analysis-proven may-write ranges.
-			// ok is false (and the harness silently keeps whole-section
-			// behavior) when no metadata was stamped or the analysis
-			// degraded to whole-section. Budgets above InterprocBudgetCap
-			// void the analysis' wraparound argument, so elision stays off.
-			if ranges, rok := v.ElisionRanges(ir.SectionClosure); rok {
-				h.elide = true
-				h.elideRanges = ranges
-			}
-		}
 	}
 	return h, nil
 }
@@ -216,23 +160,6 @@ func (h *Harness) Stats() Stats { return h.stats }
 // GlobalSnapshotSize reports the closure section size in bytes.
 func (h *Harness) GlobalSnapshotSize() int { return len(h.globalSnap) }
 
-// ElisionActive reports whether the restore/verify paths are scoped to
-// the interprocedural may-write ranges.
-func (h *Harness) ElisionActive() bool { return h.elide }
-
-// ElisionRangeBytes reports how many closure-section bytes fall inside
-// the may-write scope (equals GlobalSnapshotSize when elision is off).
-func (h *Harness) ElisionRangeBytes() int {
-	if !h.elide {
-		return len(h.globalSnap)
-	}
-	n := 0
-	for _, r := range h.elideRanges {
-		n += int(r.Hi - r.Lo)
-	}
-	return n
-}
-
 // RunOne executes one test case and restores state for the next. A restore
 // failure is not part of the test case's result — it is recorded and
 // drained by the shard supervisor via TakeRestoreError.
@@ -243,18 +170,8 @@ func (h *Harness) RunOne(input []byte) vm.Result {
 	if res.Exited {
 		h.stats.ExitsUnwound++
 	}
-	h.lastCrashed = res.Crashed()
 	if err := h.Restore(); err != nil {
 		h.restoreErr = err
-	}
-	if h.opts.AuditEvery > 0 {
-		h.sinceAudit++
-		if h.sinceAudit >= h.opts.AuditEvery {
-			h.sinceAudit = 0
-			if err := h.Audit(); err != nil && h.restoreErr == nil {
-				h.restoreErr = err
-			}
-		}
 	}
 	return res
 }
@@ -288,14 +205,6 @@ func (h *Harness) Restore() error {
 			// failure: a retry (Restore is idempotent) still knows which
 			// pages to copy back.
 			fail(faultinject.Err(faultinject.RestoreGlobals))
-		} else if h.elide && h.incremental {
-			copied, _ := h.v.RestoreSectionDirtyRanges(ir.SectionClosure, h.globalSnap, h.elideRanges)
-			h.stats.GlobalBytes += int64(copied)
-			h.stats.IncrRestores++
-		} else if h.elide {
-			copied, _ := h.v.RestoreSectionRanges(ir.SectionClosure, h.globalSnap, h.elideRanges)
-			h.stats.GlobalBytes += int64(copied)
-			h.stats.GlobalBytesElided += int64(len(h.globalSnap) - copied)
 		} else if h.incremental {
 			copied, _ := h.v.RestoreSectionDirty(ir.SectionClosure, h.globalSnap)
 			h.stats.GlobalBytes += int64(copied)
@@ -310,26 +219,12 @@ func (h *Harness) Restore() error {
 			fail(faultinject.Err(faultinject.RestoreHeap))
 		} else {
 			h.chunkScratch = h.v.Heap.AppendLeaked(h.chunkScratch[:0])
-			elidedLeaks := 0
 			for _, c := range h.chunkScratch {
-				if c.Elided && !h.lastCrashed {
-					// A chunk from a must-free site survived a non-crashed
-					// iteration: the lifetime proof was wrong. The sweep
-					// below repairs it; the census makes it loud.
-					elidedLeaks++
-				}
 				// Chunks the target leaked; free() cannot fail on live chunks.
 				if err := h.v.Heap.Free(c.Addr); err == nil {
 					h.stats.ChunksFreed++
 				} else {
 					fail(fmt.Errorf("harness: reset heap: %w", err))
-				}
-			}
-			if elidedLeaks > 0 {
-				h.stats.ElidedLeaks += int64(elidedLeaks)
-				if h.opts.AuditEvery > 0 {
-					fail(fmt.Errorf("%w: %w: %d chunks from must-free sites survived a non-crashed iteration",
-						ErrWatchdog, ErrAudit, elidedLeaks))
 				}
 			}
 			if h.shadowSnap != nil {
@@ -349,13 +244,6 @@ func (h *Harness) Restore() error {
 		if inj.Should(faultinject.RestoreFiles) {
 			fail(faultinject.Err(faultinject.RestoreFiles))
 		} else {
-			if n := h.v.FS.ElidedLeakCount(); n > 0 && !h.lastCrashed {
-				h.stats.ElidedFDLeaks += int64(n)
-				if h.opts.AuditEvery > 0 {
-					fail(fmt.Errorf("%w: %w: %d descriptors from must-close sites survived a non-crashed iteration",
-						ErrWatchdog, ErrAudit, n))
-				}
-			}
 			h.fdScratch = h.v.FS.AppendLeakedFDs(h.fdScratch[:0])
 			for _, fd := range h.fdScratch {
 				if err := h.v.FS.Close(fd); err == nil {
@@ -413,18 +301,7 @@ func (h *Harness) Verify() error {
 			return fmt.Errorf("%w: %s vanished", ErrWatchdog, ir.SectionClosure)
 		}
 		h.verifyBuf = cur
-		if h.elide {
-			// Provably-clean globals leave the equality scope: the analysis
-			// says the target cannot write them, so checking them every
-			// watchdog tick buys nothing — Audit re-checks the full section
-			// on its own (cheaper) cadence to keep the proofs honest.
-			for _, r := range h.elideRanges {
-				if !bytes.Equal(cur[r.Lo:r.Hi], h.globalSnap[r.Lo:r.Hi]) {
-					return fmt.Errorf("%w: %s differs from snapshot inside may-write range [%d,%d)",
-						ErrWatchdog, ir.SectionClosure, r.Lo, r.Hi)
-				}
-			}
-		} else if !bytes.Equal(cur, h.globalSnap) {
+		if !bytes.Equal(cur, h.globalSnap) {
 			return fmt.Errorf("%w: %s differs from snapshot (%d bytes)",
 				ErrWatchdog, ir.SectionClosure, diffBytes(cur, h.globalSnap))
 		}
@@ -441,37 +318,6 @@ func (h *Harness) Verify() error {
 		}
 	}
 	return nil
-}
-
-// Audit is the -audit-restore runtime cross-check of the elision proofs:
-// it compares the FULL closure section against the init snapshot — in
-// particular the bytes the scoped restore never touches because the
-// analysis proved them unwritable. Drift there means an elision proof was
-// wrong; Audit repairs the section with a whole-section copy-back and
-// returns an error wrapping both ErrAudit and ErrWatchdog so the recovery
-// ladder quarantines/rebuilds as it would for any drift. RunOne
-// calls it every Options.AuditEvery iterations; it is also safe to call
-// directly at any restore boundary.
-func (h *Harness) Audit() error {
-	if !h.opts.RestoreGlobals || h.globalSnap == nil {
-		return nil
-	}
-	h.stats.AuditRuns++
-	cur, ok := h.v.SnapshotSectionInto(ir.SectionClosure, h.verifyBuf)
-	if !ok {
-		return fmt.Errorf("%w: %w: %s vanished", ErrWatchdog, ErrAudit, ir.SectionClosure)
-	}
-	h.verifyBuf = cur
-	if bytes.Equal(cur, h.globalSnap) {
-		return nil
-	}
-	h.stats.AuditFailures++
-	n := diffBytes(cur, h.globalSnap)
-	// Repair: whole-section copy-back, exactly what a non-elided restore
-	// would have done. The image is clean again; the proof is not.
-	h.v.RestoreSection(ir.SectionClosure, h.globalSnap)
-	return fmt.Errorf("%w: %w: %s drifted %d bytes outside the audited restore scope (repaired)",
-		ErrWatchdog, ErrAudit, ir.SectionClosure, n)
 }
 
 // diffBytes counts positions where a and b differ (length mismatch counts

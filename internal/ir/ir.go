@@ -128,14 +128,6 @@ type Instr struct {
 	// of inserting an OpSanCheck, and CLX113 audits that every access in
 	// a sanitized module is either checked or so marked.
 	SanElide bool
-	// TrackElide marks an allocation call (closurex_malloc/closurex_calloc)
-	// whose chunk the interprocedural lifetime analysis proved freed on
-	// every path to iteration end — its chunk-map tracking can be elided.
-	// InterprocPass sets it; CLX114 audits that every mark is provable.
-	TrackElide bool
-	// FileElide is TrackElide's analogue for closurex_fopen sites whose
-	// descriptor is provably closed before iteration end.
-	FileElide bool
 	// CalleeIdx caches OpCall resolution, stamped at module-commit time by
 	// Module.ResolveCalls so neither execution backend pays a string-map
 	// lookup per call: 0 means unresolved (execute via name lookup),
@@ -203,37 +195,6 @@ const (
 	SectionClosure = "closure_global_section"
 )
 
-// InterprocInfo records what the interprocedural mod/ref + lifetime
-// analysis proved about a module. InterprocPass stamps it; the harness
-// consumes MayWriteGlobals to scope snapshot/restore/watchdog work to the
-// byte ranges the target can actually dirty, and interproc.Audit (CLX114,
-// CLX117) re-derives every claim from scratch to reject unsound elisions.
-// InterprocBudgetCap is the largest per-execution instruction budget under
-// which the interprocedural analysis' elision claims are sound. The
-// mod/ref fallback for loop-carried pointer arithmetic proves stores
-// heap-directed via a counting argument — an accumulator grows by at most
-// 2^32 per executed instruction, so offsets stay below int64 wraparound
-// only while executions run at most 2^26 instructions. The harness
-// refuses to arm restore elision on a VM with a larger budget.
-const InterprocBudgetCap = int64(1) << 26
-
-type InterprocInfo struct {
-	// MayWriteGlobals lists indices of globals some function reachable
-	// from target_main/closurex_init may write (sorted ascending).
-	// Globals absent from the list are provably clean each iteration.
-	MayWriteGlobals []int
-	// WholeSection is set when the analysis could not bound global writes
-	// (unknown pointer stores, call-graph holes): every global must be
-	// treated as may-written and no restore scoping is sound.
-	WholeSection bool
-	// AllocSites / AllocElided count allocation call sites and how many
-	// carry TrackElide; FileSites / FileElided likewise for fopen sites.
-	AllocSites  int
-	AllocElided int
-	FileSites   int
-	FileElided  int
-}
-
 // Module is a translation unit: globals plus functions.
 type Module struct {
 	Name    string
@@ -244,10 +205,6 @@ type Module struct {
 	// either preceded by an OpSanCheck or carries SanElide (verified by
 	// CLX113), and the VM may expect shadow state to be armed.
 	Sanitized bool
-
-	// Interproc holds the interprocedural analysis results when
-	// InterprocPass has run; nil means no elision metadata (full restore).
-	Interproc *InterprocInfo
 
 	funcIdx map[string]int
 	// callsResolved records that ResolveCalls has stamped every OpCall's
@@ -405,11 +362,6 @@ func (m *Module) Clone() *Module {
 	nm := NewModule(m.Name)
 	nm.Sanitized = m.Sanitized
 	nm.callsResolved = m.callsResolved
-	if m.Interproc != nil {
-		info := *m.Interproc
-		info.MayWriteGlobals = append([]int(nil), m.Interproc.MayWriteGlobals...)
-		nm.Interproc = &info
-	}
 	for _, g := range m.Globals {
 		ng := *g
 		ng.Init = append([]byte(nil), g.Init...)

@@ -48,12 +48,9 @@ type Heap struct {
 
 	// siteFn/siteLine hold the allocation/free site the VM noted just
 	// before calling into the allocator; consumed into Chunk fields for
-	// sanitizer reports. siteElide carries the interproc TrackElide mark
-	// of that site so the chunk records whether the analysis proved it
-	// freed on every path.
-	siteFn    string
-	siteLine  int32
-	siteElide bool
+	// sanitizer reports.
+	siteFn   string
+	siteLine int32
 }
 
 // Chunk describes one live heap allocation.
@@ -71,12 +68,6 @@ type Chunk struct {
 	AllocLine int32
 	FreeFn    string
 	FreeLine  int32
-	// Elided marks chunks born at a TrackElide allocation site: the
-	// interprocedural analysis proved the target frees them on every path,
-	// so the harness expects none of them live at restore time (on
-	// non-crashed iterations) and audits that expectation instead of
-	// paying per-chunk tracking costs for the sweep accounting.
-	Elided bool
 }
 
 // Heap errors surfaced to the VM sanitizer.
@@ -124,13 +115,7 @@ func (h *Heap) Shadow() *Shadow { return h.shadow }
 // sanitizer reports.
 func (h *Heap) NoteSite(fn string, line int32) {
 	h.siteFn, h.siteLine = fn, line
-	h.siteElide = false
 }
-
-// NoteElide records that the pending allocator call originates from a
-// TrackElide-marked site; the next Alloc stamps Chunk.Elided. Call after
-// NoteSite (which clears the flag).
-func (h *Heap) NoteElide() { h.siteElide = true }
 
 // ChunkAt returns the live chunk containing addr.
 func (h *Heap) ChunkAt(addr uint64) (Chunk, bool) {
@@ -265,8 +250,8 @@ func (h *Heap) Alloc(size uint64) (uint64, error) {
 	} else {
 		h.brk = addr + rounded + chunkAlign
 	}
-	c := Chunk{Addr: addr, Size: size, AllocFn: h.siteFn, AllocLine: h.siteLine, Elided: h.siteElide}
-	h.siteFn, h.siteLine, h.siteElide = "", 0, false
+	c := Chunk{Addr: addr, Size: size, AllocFn: h.siteFn, AllocLine: h.siteLine}
+	h.siteFn, h.siteLine = "", 0
 	i := sort.Search(len(h.chunks), func(i int) bool { return h.chunks[i].Addr > addr })
 	h.chunks = append(h.chunks, Chunk{})
 	copy(h.chunks[i+1:], h.chunks[i:])

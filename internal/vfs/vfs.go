@@ -57,12 +57,6 @@ type OpenFile struct {
 	// (the paper's initialization-handle optimization).
 	Init   bool
 	closed bool
-	// Elided marks descriptors opened at a FileElide fopen site: the
-	// interprocedural analysis proved the target closes them on every
-	// path, so the harness expects none leaked at restore time (on
-	// non-crashed iterations) and audits that instead of recording the
-	// site in the fd table's leak bookkeeping.
-	Elided bool
 }
 
 // FS is a process-private view of the filesystem plus its descriptor table.
@@ -82,11 +76,10 @@ type FS struct {
 	// open/close-per-test-case cycle does not allocate. Entries are only
 	// reachable through fds, so a closed entry has no outstanding aliases.
 	free []*OpenFile
-	// nLeaked / nElidedLeak are running counts of live non-init (and
-	// additionally elided) descriptors, so the harness's per-iteration
-	// leak audits are O(1) instead of descriptor-table scans.
-	nLeaked     int
-	nElidedLeak int
+	// nLeaked is the running count of live non-init descriptors, so the
+	// harness's per-iteration leak audits are O(1) instead of
+	// descriptor-table scans.
+	nLeaked int
 }
 
 // New returns an empty filesystem with the default descriptor limit.
@@ -205,9 +198,6 @@ func (fs *FS) Close(fd int) error {
 	of.f.refs--
 	if !of.Init {
 		fs.nLeaked--
-		if of.Elided {
-			fs.nElidedLeak--
-		}
 	}
 	fs.free = append(fs.free, of)
 	return nil
@@ -329,22 +319,6 @@ func (fs *FS) AppendLeakedFDs(dst []int) []int {
 // O(1): maintained incrementally by Open/Close/MarkInit.
 func (fs *FS) LeakedCount() int { return fs.nLeaked }
 
-// MarkElided flags fd as opened at a FileElide fopen site. Called by the
-// VM right after the open; unknown descriptors are ignored.
-func (fs *FS) MarkElided(fd int) {
-	if of, ok := fs.fds[fd]; ok && !of.Elided {
-		of.Elided = true
-		if !of.Init {
-			fs.nElidedLeak++
-		}
-	}
-}
-
-// ElidedLeakCount reports how many leaked (non-init, live) descriptors
-// came from FileElide sites — each one contradicts a must-close proof and
-// is surfaced by the harness's elision audit. O(1), like LeakedCount.
-func (fs *FS) ElidedLeakCount() int { return fs.nElidedLeak }
-
 // InitFDs returns the live initialization-time descriptors in ascending
 // order — the set the harness rewinds rather than closes.
 func (fs *FS) InitFDs() []int { return fs.AppendInitFDs(nil) }
@@ -368,7 +342,6 @@ func (fs *FS) MarkInit() {
 		of.Init = true
 	}
 	fs.nLeaked = 0
-	fs.nElidedLeak = 0
 }
 
 // Reset closes every descriptor and removes every file except those in
@@ -378,7 +351,6 @@ func (fs *FS) Reset(keep map[string][]byte) {
 	fs.nextFD = 3
 	fs.files = make(map[string]*file)
 	fs.nLeaked = 0
-	fs.nElidedLeak = 0
 	for p, d := range keep {
 		fs.WriteFile(p, d)
 	}
@@ -389,14 +361,13 @@ func (fs *FS) Reset(keep map[string][]byte) {
 // stores; the cheap map copies model fd-table duplication in fork().
 func (fs *FS) Clone() *FS {
 	nf := &FS{
-		files:       make(map[string]*file, len(fs.files)),
-		fds:         make(map[int]*OpenFile, len(fs.fds)),
-		nextFD:      fs.nextFD,
-		fdLimit:     fs.fdLimit,
-		opens:       fs.opens,
-		inj:         fs.inj,
-		nLeaked:     fs.nLeaked,
-		nElidedLeak: fs.nElidedLeak,
+		files:   make(map[string]*file, len(fs.files)),
+		fds:     make(map[int]*OpenFile, len(fs.fds)),
+		nextFD:  fs.nextFD,
+		fdLimit: fs.fdLimit,
+		opens:   fs.opens,
+		inj:     fs.inj,
+		nLeaked: fs.nLeaked,
 	}
 	for p, f := range fs.files {
 		nf.files[p] = &file{data: append([]byte(nil), f.data...)}

@@ -152,9 +152,6 @@ func noteAllocSite(v *VM, in *ir.Instr) {
 		fn = v.curFn.Name
 	}
 	v.Heap.NoteSite(fn, in.Pos)
-	if in.TrackElide {
-		v.Heap.NoteElide()
-	}
 }
 
 func biMalloc(v *VM, in *ir.Instr, args []int64) (int64, error) {
@@ -549,9 +546,6 @@ func biFopen(v *VM, in *ir.Instr, args []int64) (int64, error) {
 		// abort on NULL turn descriptor exhaustion into the false crashes
 		// the paper describes.
 		return 0, nil
-	}
-	if in.FileElide {
-		v.FS.MarkElided(fd)
 	}
 	return int64(fd), nil
 }

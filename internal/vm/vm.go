@@ -209,12 +209,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	return v, nil
 }
 
-// MaxBudget reports the per-execution instruction budget. The harness
-// compares it against ir.InterprocBudgetCap before arming restore
-// elision — the static analysis' no-wraparound argument only covers
-// executions up to that length.
-func (v *VM) MaxBudget() int64 { return v.maxBudget }
-
 // materializeImage loads n pages of simulated program image at TextBase,
 // the analogue of the loader mapping the executable and its static data.
 func (v *VM) materializeImage(n int) error {
@@ -433,104 +427,6 @@ func (v *VM) RestoreSection(name string, data []byte) bool {
 	}
 	_ = v.Mem.Write(s.Addr, data)
 	return true
-}
-
-// ByteRange is one half-open byte span [Lo, Hi), relative to the start of
-// the section it scopes.
-type ByteRange struct{ Lo, Hi uint64 }
-
-// ElisionRanges maps the module's interprocedural may-write metadata onto
-// the named section: the merged, ascending section-relative byte ranges
-// covering every global some reachable function may write. ok is false
-// when the module carries no metadata, the analysis could not bound the
-// write set (WholeSection), or the section does not exist — in all three
-// cases the caller must restore the whole section.
-func (v *VM) ElisionRanges(name string) ([]ByteRange, bool) {
-	info := v.Mod.Interproc
-	if info == nil || info.WholeSection {
-		return nil, false
-	}
-	s, ok := v.Layout.Section(name)
-	if !ok {
-		return nil, false
-	}
-	var out []ByteRange
-	// MayWriteGlobals is sorted by global index and the layout assigns
-	// ascending addresses in index order within a section, so the filtered
-	// ranges arrive in ascending order and adjacent ones merge in place.
-	for _, gi := range info.MayWriteGlobals {
-		if gi < 0 || gi >= len(v.Mod.Globals) || v.Mod.Globals[gi].Section != name {
-			continue
-		}
-		lo := v.Layout.GlobalAddr[gi] - s.Addr
-		hi := lo + uint64(v.Mod.Globals[gi].Size)
-		if hi > s.Size {
-			hi = s.Size
-		}
-		if n := len(out); n > 0 && lo <= out[n-1].Hi {
-			if hi > out[n-1].Hi {
-				out[n-1].Hi = hi
-			}
-			continue
-		}
-		out = append(out, ByteRange{lo, hi})
-	}
-	return out, true
-}
-
-// RestoreSectionRanges writes data back over only the listed
-// section-relative ranges — the elision-scoped variant of RestoreSection.
-// data must still be a full-section snapshot (ranges index into it).
-// Returns the bytes actually copied.
-func (v *VM) RestoreSectionRanges(name string, data []byte, ranges []ByteRange) (int, bool) {
-	s, ok := v.Layout.Section(name)
-	if !ok || uint64(len(data)) != s.Size {
-		return 0, false
-	}
-	copied := 0
-	for _, r := range ranges {
-		if r.Lo >= r.Hi || r.Hi > s.Size {
-			continue
-		}
-		_ = v.Mem.Write(s.Addr+r.Lo, data[r.Lo:r.Hi])
-		copied += int(r.Hi - r.Lo)
-	}
-	return copied, true
-}
-
-// RestoreSectionDirtyRanges is the doubly-scoped restore: only bytes that
-// are both inside a may-write range and on a page dirtied since the last
-// watch reset are written back. Requires WatchSection to have been armed;
-// the watch window is reset afterwards.
-func (v *VM) RestoreSectionDirtyRanges(name string, data []byte, ranges []ByteRange) (int, bool) {
-	s, ok := v.Layout.Section(name)
-	if !ok || uint64(len(data)) != s.Size {
-		return 0, false
-	}
-	copied := 0
-	for _, pn := range v.Mem.WatchedDirty() {
-		plo := pn << mem.PageShift
-		phi := plo + mem.PageSize
-		if end := s.Addr + s.Size; phi > end {
-			phi = end
-		}
-		for _, r := range ranges {
-			lo, hi := s.Addr+r.Lo, s.Addr+r.Hi
-			if lo < plo {
-				lo = plo
-			}
-			if hi > phi {
-				hi = phi
-			}
-			if lo >= hi {
-				continue
-			}
-			_ = v.Mem.Write(lo, data[lo-s.Addr:hi-s.Addr])
-			copied += int(hi - lo)
-		}
-	}
-	v.Mem.ResetWatch()
-	return copied, true
 }
 
 // ReadCString reads a NUL-terminated string from target memory (bounded).
